@@ -67,7 +67,7 @@ from .group import (
     subgroup_generated,
     wreath_product,
 )
-from .hom import GroupHom, hom_from_images, quotient
+from .hom import GroupHom, quotient
 from .lattice import (
     CriticalPair,
     all_subgroups,

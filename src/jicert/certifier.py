@@ -8,7 +8,8 @@ verdict statuses are:
     fail            it does not; a witness is attached
     not-applicable  the stage lacks the marks or structure the check needs
     bounded         a subgroup sweep was skipped because the group exceeds
-                    the configured bound, so the result is inconclusive
+                    the subgroup bound, or has no element table because it
+                    exceeds the dense bound, so the result is inconclusive
 
 A bounded check is never reported as a pass.  certify_system never trusts
 kernels or marks from the input file beyond what parse-time validation
@@ -19,10 +20,16 @@ revalidate_witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .classdata import SchurTable, SimpleClass, count_class_factors
-from .errors import DerivationError, HomomorphismError, NotNormalError
+from .errors import (
+    DerivationError,
+    HomomorphismError,
+    JicertError,
+    NeedsDenseModeError,
+    NotNormalError,
+)
 from .group import (
     PermGroup,
     centralizer,
@@ -133,10 +140,12 @@ def _sub_w(sub: PermGroup) -> dict:
 def _witness_subgroup(g: PermGroup, blob: object) -> Optional[PermGroup]:
     if not isinstance(blob, dict):
         return None
+    rows = blob.get("generators")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        return None
     try:
-        gens = [Permutation(tuple(row)) for row in blob["generators"]]
-        sub = subgroup_generated(g, gens)
-    except Exception:
+        sub = subgroup_generated(g, [Permutation(row) for row in rows])
+    except (JicertError, ValueError):
         return None
     if sub.order != blob.get("order", sub.order):
         return None
@@ -613,6 +622,31 @@ def _merge(target: StageVerdict, src: StageVerdict) -> None:
     target.notes.extend(src.notes)
 
 
+def _merge_or_bound(
+    target: StageVerdict,
+    names: Sequence[str],
+    check: Callable[..., StageVerdict],
+    *args,
+    **kwargs,
+) -> None:
+    """Merge check(*args, **kwargs), or mark names bounded when the stage is too big.
+
+    A stage above the dense bound is held as a stabilizer chain, and the
+    normal-subgroup and subgroup sweeps need its element table.
+    """
+    try:
+        src = check(*args, **kwargs)
+    except NeedsDenseModeError as exc:
+        note = (
+            f"stage {target.stage_index} of order {target.order} is above "
+            f"--dense-bound and kept as a stabilizer chain: {exc}"
+        )
+        for name in names:
+            target.checks[name] = CheckResult(BOUNDED, note=note)
+        return
+    _merge(target, src)
+
+
 def _mark_na(sv: StageVerdict, names: Sequence[str], note: str) -> None:
     for name in names:
         sv.checks[name] = CheckResult(NOT_APPLICABLE, note=note)
@@ -752,23 +786,24 @@ def certify_system(
     _mark_na(verdicts[last], pair_checks, "deepest stage: no further connecting map")
 
     if options.wilson:
+        wilson_checks = (CHECK_WILSON_I, CHECK_WILSON_II)
         for n in range(last + 1):
             k = kernel_at(n)
             if k is None:
                 _mark_na(
                     verdicts[n],
-                    (CHECK_WILSON_I, CHECK_WILSON_II),
+                    wilson_checks,
                     "stage 0 has no b0 mark to act as kernel",
                 )
             else:
-                _merge(
+                _merge_or_bound(
                     verdicts[n],
-                    check_wilson_stage(
-                        prefix.groups[n],
-                        k,
-                        stage_index=n,
-                        subgroup_bound=options.subgroup_bound,
-                    ),
+                    wilson_checks,
+                    check_wilson_stage,
+                    prefix.groups[n],
+                    k,
+                    stage_index=n,
+                    subgroup_bound=options.subgroup_bound,
                 )
 
     if options.commuting_conjugates:
@@ -779,14 +814,14 @@ def certify_system(
                     verdicts[n], (CHECK_COMMUTING_CONJUGATES,), f"missing mark a[{n}]"
                 )
             else:
-                _merge(
+                _merge_or_bound(
                     verdicts[n],
-                    check_commuting_conjugates_stage(
-                        prefix.groups[n],
-                        a_n,
-                        stage_index=n,
-                        subgroup_bound=options.subgroup_bound,
-                    ),
+                    (CHECK_COMMUTING_CONJUGATES,),
+                    check_commuting_conjugates_stage,
+                    prefix.groups[n],
+                    a_n,
+                    stage_index=n,
+                    subgroup_bound=options.subgroup_bound,
                 )
 
     if options.strengthened:
@@ -797,16 +832,16 @@ def certify_system(
                 _mark_na(verdicts[n], thmb_checks, "missing marks")
             else:
                 p_n = prefix.homs[n].image(a_next)
-                _merge(
+                _merge_or_bound(
                     verdicts[n],
-                    check_strengthened_stage(
-                        prefix.groups[n],
-                        a_n,
-                        b_n,
-                        p_n,
-                        stage_index=n,
-                        subgroup_bound=options.subgroup_bound,
-                    ),
+                    thmb_checks,
+                    check_strengthened_stage,
+                    prefix.groups[n],
+                    a_n,
+                    b_n,
+                    p_n,
+                    stage_index=n,
+                    subgroup_bound=options.subgroup_bound,
                 )
         _mark_na(verdicts[last], thmb_checks, "deepest stage: no further connecting map")
 

@@ -66,7 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_SUBGROUP_BOUND,
         help="largest group order swept for witness subgroups",
     )
-    c.add_argument("--seed", type=int, default=0, help="seed for sampled map checks")
+    c.add_argument(
+        "--seed", type=int, default=0, help="no effect (map validation is exact); echoed in reports"
+    )
     c.add_argument(
         "--count-class",
         metavar="NAMES",
@@ -106,7 +108,7 @@ def _read_text(path: str) -> tuple[bytes, str]:
 
 def cmd_check(args: argparse.Namespace) -> int:
     data, text = _read_text(args.file)
-    prefix = parse_system(text, dense_bound=args.dense_bound, seed=args.seed)
+    prefix = parse_system(text, dense_bound=args.dense_bound)
 
     names = None
     cls = None

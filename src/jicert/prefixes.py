@@ -13,9 +13,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .errors import InputFormatError, KernelBugError
+from .errors import InputFormatError, JicertError, KernelBugError
 from .group import DEFAULT_DENSE_BOUND, PermGroup, subgroup_generated
-from .hom import DEFAULT_CHAIN_SAMPLE, GroupHom
+from .hom import GroupHom
 from .library import named_group
 from .perm import Permutation
 
@@ -177,7 +177,7 @@ def _mark_subgroup(
 ) -> PermGroup:
     try:
         sub = subgroup_generated(parent, gens)
-    except Exception as exc:
+    except (JicertError, ValueError) as exc:
         raise InputFormatError(f"{where}: {exc}") from None
     if not sub.is_normal_in(parent):
         raise InputFormatError(f"{where}: marked subgroup is not normal")
@@ -189,8 +189,6 @@ def _assemble(
     *,
     mode: str = "auto",
     dense_bound: int = DEFAULT_DENSE_BOUND,
-    sample: int = DEFAULT_CHAIN_SAMPLE,
-    seed: int = 0,
 ) -> SystemPrefix:
     """Build groups, maps, kernels and marks from records, or reject."""
     groups = []
@@ -219,12 +217,10 @@ def _assemble(
                 )
         aligned = tuple(mapping[g] for g in groups[i].generators)
         try:
-            hom = GroupHom(groups[i], groups[i - 1], aligned, sample=sample, seed=seed)
-        except KernelBugError:
+            hom = GroupHom(groups[i], groups[i - 1], aligned)
+        except (KernelBugError, InputFormatError):
             raise
-        except InputFormatError:
-            raise
-        except Exception as exc:
+        except (JicertError, ValueError) as exc:
             raise InputFormatError(
                 f"{where}: images do not define a homomorphism onto the previous "
                 f"stage: {exc}"
@@ -258,8 +254,6 @@ def parse_system(
     text: str,
     *,
     dense_bound: int = DEFAULT_DENSE_BOUND,
-    sample: int = DEFAULT_CHAIN_SAMPLE,
-    seed: int = 0,
 ) -> SystemPrefix:
     """Parse and fully validate a prefix document.
 
@@ -273,7 +267,7 @@ def parse_system(
             f"JSON syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     records = _records_from_json(data)
-    return _assemble(records, dense_bound=dense_bound, sample=sample, seed=seed)
+    return _assemble(records, dense_bound=dense_bound)
 
 
 def serialize_system(prefix: SystemPrefix) -> str:
@@ -301,8 +295,6 @@ def build_wreath_tower(
     *,
     chain_mode: bool = False,
     dense_bound: int = DEFAULT_DENSE_BOUND,
-    sample: int = DEFAULT_CHAIN_SAMPLE,
-    seed: int = 0,
 ) -> SystemPrefix:
     """Iterated wreath tower prefix: stage n is base_n wr (stage n-1).
 
@@ -365,8 +357,6 @@ def build_wreath_tower(
         tuple(records),
         mode="auto" if chain_mode else "dense",
         dense_bound=dense_bound,
-        sample=sample,
-        seed=seed,
     )
     for n, grp in enumerate(prefix.groups):
         if grp.order != expected_orders[n]:

@@ -529,3 +529,35 @@ def test_revalidate_malformed_witnesses():
     )
     assert not revalidate_witness(CHECK_CENTRALIZER_PRODUCT, {"element": "xy"}, g=s4, b=triv, p=v4)
     assert not revalidate_witness(CHECK_DICHOTOMY, {}, g=s4, a=v4, p=v4)
+
+
+def test_revalidate_rejects_malformed_subgroup_blobs():
+    s4, _, _, triv = s4_subgroups()
+    for blob in ({"order": 2}, {"generators": "xy"}, {"generators": [3]},
+                 {"generators": [[0, 0, 1, 2]]}, {"generators": [[0, 1, 2]]}):
+        assert not revalidate_witness(CHECK_WILSON_I, {"normal_subgroup": blob}, g=s4, k=triv)
+
+
+def test_revalidate_surfaces_internal_defects(monkeypatch):
+    def broken(parent, elems):
+        raise RuntimeError("internal defect")
+
+    s4, _, _, triv = s4_subgroups()
+    monkeypatch.setattr("jicert.certifier.subgroup_generated", broken)
+    witness = {"normal_subgroup": {"order": 4, "generators": [[1, 0, 3, 2], [2, 3, 0, 1]]}}
+    with pytest.raises(RuntimeError, match="internal defect"):
+        revalidate_witness(CHECK_WILSON_I, witness, g=s4, k=triv)
+
+
+def test_sweeps_on_a_chain_stage_are_bounded():
+    # stage 1 has order 60^6 and no element table, so the sweeps cannot run there
+    prefix = derive_critical_marks(build_wreath_tower([("A5", 5)], 2, chain_mode=True))
+    assert prefix.groups[1].mode == "chain"
+    options = CertifyOptions(wilson=True, commuting_conjugates=True, subgroup_bound=10**12)
+    stage0, stage1 = certify_system(prefix, options).stages
+    for name in (CHECK_WILSON_I, CHECK_WILSON_II, CHECK_COMMUTING_CONJUGATES):
+        assert stage0.checks[name].status == PASS
+        res = stage1.checks[name]
+        assert res.status == BOUNDED
+        assert "stage 1 of order 46656000000" in res.note
+        assert "--dense-bound" in res.note

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from jicert import (
@@ -17,16 +18,19 @@ from jicert import (
 )
 
 
-def sign_hom(n):
-    """S_n -> C2 by parity of the generators (n-cycle parity alternates)."""
-    sn = symmetric(n)
+def sign_map(g):
+    """g -> C2 by parity of the generators."""
     c2 = cyclic(2)
     flip = Permutation([1, 0])
-    images = []
-    for g in sn.generators:
-        parity = sum(len(c) - 1 for c in g.cycles()) % 2
-        images.append(flip if parity else c2.identity)
-    return GroupHom(sn, c2, images)
+    images = [
+        flip if sum(len(c) - 1 for c in x.cycles()) % 2 else c2.identity
+        for x in g.generators
+    ]
+    return GroupHom(g, c2, images)
+
+
+def sign_hom(n):
+    return sign_map(symmetric(n))
 
 
 def test_sign_hom_basics():
@@ -176,13 +180,59 @@ def test_quotient_composition_factor_names(small_corpus):
 
 
 def test_kernel_bug_guard_runs_clean():
-    # the sampled product check on a chain hom must pass for a real hom
+    # the |ker| * |im| = |G| self-check on a chain hom must pass for a real hom
     s6 = PermGroup.from_generators(6, symmetric(6).generators, mode="chain")
-    c2 = cyclic(2)
-    flip = Permutation([1, 0])
+    assert sign_map(s6).kernel().order == 360
+
+
+def _chain_twin(dense):
+    """The same map, built on a chain-mode copy of the source."""
+    g = dense.source
+    src = PermGroup.from_generators(g.degree, g.generators, mode="chain")
+    return GroupHom(src, dense.target, [dense(x) for x in src.generators])
+
+
+def test_chain_maps_match_dense_tables(small_corpus):
+    # the graph-group evaluator agrees with the BFS table on every element
+    for name, g in small_corpus.items():
+        maps = [sign_map(g)]
+        if not g.is_trivial():
+            elems = {tuple(x) for x in g.elements()}
+            m_set = oracles.maximal_normals(g.degree, elems)[0]
+            m = PermGroup.from_element_set(g.degree, frozenset(map(Permutation, m_set)))
+            maps.append(quotient(g, m)[1])
+        for dense in maps:
+            chain = _chain_twin(dense)
+            values = {x: chain(x) for x in g.elements()}
+            assert values == {x: dense(x) for x in g.elements()}, name
+            if g.order <= 60:
+                for x in values:
+                    for y in values:
+                        assert values[x * y] == values[x] * values[y], name
+            assert chain.kernel() == dense.kernel(), name
+
+
+_SOURCES = [symmetric(n) for n in (3, 4, 5)]
+_CHAIN_SOURCES = [
+    PermGroup.from_generators(g.degree, g.generators, mode="chain") for g in _SOURCES
+]
+_TARGETS = [cyclic(2), symmetric(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_chain_and_dense_validation_agree(data):
+    i = data.draw(st.integers(0, len(_SOURCES) - 1))
+    target = data.draw(st.sampled_from(_TARGETS))
     images = [
-        flip if sum(len(c) - 1 for c in g.cycles()) % 2 else c2.identity
-        for g in s6.generators
+        data.draw(st.sampled_from(target.sorted_elements()))
+        for _ in _SOURCES[i].generators
     ]
-    phi = GroupHom(s6, c2, images, sample=500, seed=7)
-    assert phi.kernel().order == 360
+    try:
+        dense = GroupHom(_SOURCES[i], target, images)
+    except HomomorphismError:
+        with pytest.raises(HomomorphismError):
+            GroupHom(_CHAIN_SOURCES[i], target, images)
+        return
+    chain = GroupHom(_CHAIN_SOURCES[i], target, images)
+    assert all(chain(x) == dense(x) for x in _SOURCES[i].elements())

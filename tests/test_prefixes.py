@@ -3,6 +3,7 @@ import json
 import pytest
 
 from jicert import (
+    GroupHom,
     InputFormatError,
     Permutation,
     UnknownGroupError,
@@ -243,3 +244,20 @@ def test_build_wreath_tower_rejections():
         build_wreath_tower([("B7", 7)], 1)
     with pytest.raises(InputFormatError, match="acts on 3 points"):
         build_wreath_tower([("S3", 4)], 1)
+
+
+@pytest.mark.parametrize(
+    "internal,build",
+    [
+        ("_build_table", lambda: parse_system(doc(S3_STAGE, S4_STAGE))),
+        ("_build_graph", lambda: build_wreath_tower([("A5", 5)], 2, chain_mode=True)),
+    ],
+    ids=["dense", "chain"],
+)
+def test_defect_in_map_construction_is_not_an_input_error(monkeypatch, internal, build):
+    def broken(self):
+        raise RuntimeError("internal defect")
+
+    monkeypatch.setattr(GroupHom, internal, broken)
+    with pytest.raises(RuntimeError, match="internal defect"):
+        build()

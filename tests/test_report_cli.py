@@ -289,3 +289,40 @@ def test_lattice_stage_out_of_range(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "out of range" in err
+
+
+@pytest.fixture(scope="module")
+def chain_tower(tmp_path_factory):
+    path = tmp_path_factory.mktemp("chain") / "a5_tower.json"
+    assert main(["build-wreath", "A5:5", "--depth", "2", "--chain", "-o", str(path)]) == 0
+    return path
+
+
+def test_check_wilson_on_chain_stage_is_bounded(chain_tower, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(["check", str(chain_tower), "--wilson", "--json", str(out)])
+    capsys.readouterr()
+    assert code == 3
+    report = parse_report(out.read_bytes())
+    assert report["completeness"] == "bounded"
+    stage0, stage1 = report["stages"]
+    assert stage0["checks"]["wilson_i"]["status"] == "not-applicable"
+    for name in ("wilson_i", "wilson_ii"):
+        check = stage1["checks"][name]
+        assert check["status"] == "bounded"
+        assert "stage 1 of order 46656000000" in check["note"]
+        assert "--dense-bound" in check["note"]
+
+
+@pytest.mark.parametrize("prefix_path", [PREFIX_PATH, None])
+def test_check_seed_has_no_effect(prefix_path, chain_tower, tmp_path, capsys):
+    path = str(prefix_path or chain_tower)
+    reports = []
+    for seed in ("0", "12345"):
+        out = tmp_path / f"seed{seed}.json"
+        main(["check", path, "--wilson", "--seed", seed, "--json", str(out)])
+        reports.append(parse_report(out.read_bytes()))
+    capsys.readouterr()
+    assert reports[1]["options"].pop("seed") == 12345
+    assert reports[0]["options"].pop("seed") == 0
+    assert reports[0] == reports[1]
