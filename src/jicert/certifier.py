@@ -37,6 +37,7 @@ from .group import (
     commutator_subgroup,
     e_p_subgroup,
     is_nilpotent,
+    is_prime,
     join,
     normal_closure,
     subgroup_generated,
@@ -55,7 +56,6 @@ from .lattice import (
 )
 from .perm import Permutation
 from .prefixes import SystemPrefix
-from .simples import _is_prime
 
 PASS = "pass"
 FAIL = "fail"
@@ -161,18 +161,26 @@ def _require_normal(g: PermGroup, sub: PermGroup, what: str) -> None:
 
 
 def _conjugates(g: PermGroup, u: PermGroup) -> list[PermGroup]:
-    """All distinct conjugates of u under g, found by generator orbit."""
-    seen = {u.canonical_key(): u}
-    frontier = [u]
+    """All distinct conjugates of u under g, u first.
+
+    The orbit of u's position set in g's element index under the conjugation
+    rows of g's generators; each conjugate's generators are the images of
+    u's generators.
+    """
+    index = g.element_index()
+    rows = [index.conj_row(t) for t in g.generators]
+    pos = index.pos
+    start = frozenset(pos[x] for x in u.elements())
+    seen = {start: tuple(pos[x] for x in u.generators)}
+    frontier = [start]
     while frontier:
         v = frontier.pop()
-        for t in g.generators:
-            w = subgroup_generated(g, [x ** t for x in v.generators])
-            key = w.canonical_key()
-            if key not in seen:
-                seen[key] = w
+        for row in rows:
+            w = frozenset([row[i] for i in v])
+            if w not in seen:
+                seen[w] = tuple(row[i] for i in seen[v])
                 frontier.append(w)
-    return list(seen.values())
+    return [index.subgroup(w, gens) for w, gens in seen.items()]
 
 
 def _pairwise_commute(subs: Sequence[PermGroup]) -> bool:
@@ -187,6 +195,22 @@ def _pairwise_commute(subs: Sequence[PermGroup]) -> bool:
 
 def _normalized_by(h: PermGroup, a: PermGroup) -> bool:
     return all(h.contains(x ** y) for y in a.generators for x in h.generators)
+
+
+def _commuting_family(g: PermGroup, u: PermGroup) -> bool:
+    """Whether u is non-normal in g and its distinct conjugates commute
+    elementwise.
+
+    Decided once per stage and subgroup: the answer is kept on g's element
+    index under u's canonical key, so the sweeps of wilson_ii (one per normal
+    subgroup), commuting_conjugates and revalidate_witness share it.
+    """
+    memo = g.element_index().commuting
+    key = u.canonical_key()
+    if key not in memo:
+        conjugates = _conjugates(g, u)
+        memo[key] = len(conjugates) > 1 and _pairwise_commute(conjugates)
+    return memo[key]
 
 
 # -- per-stage checks --------------------------------------------------------
@@ -240,9 +264,7 @@ def check_wilson_stage(
             skipped.append(lsub.order)
             continue
         for u in all_subgroups(lsub):
-            if u.is_normal_in(g):
-                continue
-            if not _pairwise_commute(_conjugates(g, u)):
+            if not _commuting_family(g, u):
                 continue
             if normal_closure(g, u.generators).order == lsub.order:
                 hit = (lsub, u)
@@ -360,9 +382,7 @@ def check_commuting_conjugates_stage(
         return sv
 
     for u in all_subgroups(g):
-        if u.is_normal_in(g):
-            continue
-        if not _pairwise_commute(_conjugates(g, u)):
+        if not _commuting_family(g, u):
             continue
         if a.is_subgroup_of(normal_closure(g, u.generators)):
             sv.checks[CHECK_COMMUTING_CONJUGATES] = CheckResult(
@@ -498,7 +518,7 @@ def check_ep_proper(
     multiplier of order divisible by p.  Status "table-incomplete" means a
     composition factor falls outside the loaded multiplier table.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not a prime")
     if table is None:
         table = SchurTable.load()
@@ -617,11 +637,6 @@ def derive_critical_marks(prefix: SystemPrefix) -> SystemPrefix:
 # -- whole-prefix certification ----------------------------------------------
 
 
-def _merge(target: StageVerdict, src: StageVerdict) -> None:
-    target.checks.update(src.checks)
-    target.notes.extend(src.notes)
-
-
 def _merge_or_bound(
     target: StageVerdict,
     names: Sequence[str],
@@ -644,7 +659,8 @@ def _merge_or_bound(
         for name in names:
             target.checks[name] = CheckResult(BOUNDED, note=note)
         return
-    _merge(target, src)
+    target.checks.update(src.checks)
+    target.notes.extend(src.notes)
 
 
 def _mark_na(sv: StageVerdict, names: Sequence[str], note: str) -> None:
@@ -777,11 +793,15 @@ def certify_system(
             ]
             _mark_na(verdicts[n], pair_checks, f"missing marks: {', '.join(missing)}")
         else:
-            _merge(
+            _merge_or_bound(
                 verdicts[n],
-                check_critical_stage(
-                    prefix.homs[n], a_next, a_n, b_n, stage_index=n
-                ),
+                pair_checks,
+                check_critical_stage,
+                prefix.homs[n],
+                a_next,
+                a_n,
+                b_n,
+                stage_index=n,
             )
     _mark_na(verdicts[last], pair_checks, "deepest stage: no further connecting map")
 
@@ -903,8 +923,7 @@ def revalidate_witness(
             lsub.is_normal_in(g)
             and not lsub.is_subgroup_of(k)
             and u.is_subgroup_of(lsub)
-            and not u.is_normal_in(g)
-            and _pairwise_commute(_conjugates(g, u))
+            and _commuting_family(g, u)
             and normal_closure(g, u.generators).order == lsub.order
         )
     if check_name == CHECK_CRITICAL_PAIR:
@@ -925,7 +944,9 @@ def revalidate_witness(
             return False
         try:
             x = Permutation(tuple(witness["element"]))
-        except Exception:
+        except (KeyError, TypeError, ValueError):
+            return False
+        if x.degree != g.degree:
             return False
         pc = join(g, p, centralizer(g, p))
         return pc.contains(x) and not b.contains(x)
@@ -933,10 +954,8 @@ def revalidate_witness(
         u = _witness_subgroup(g, witness.get("subgroup"))
         if u is None or a is None:
             return False
-        return (
-            not u.is_normal_in(g)
-            and _pairwise_commute(_conjugates(g, u))
-            and a.is_subgroup_of(normal_closure(g, u.generators))
+        return _commuting_family(g, u) and a.is_subgroup_of(
+            normal_closure(g, u.generators)
         )
     if check_name == CHECK_DICHOTOMY:
         h = _witness_subgroup(g, witness.get("subgroup"))

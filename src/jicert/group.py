@@ -6,12 +6,19 @@ normal-subgroup lattices). Chain mode stores a stabilizer chain only and
 scales to groups far past the dense bound; operations that would need the
 element table raise NeedsDenseModeError instead of trying.
 
+A dense group also carries an element index, built on first use and kept on
+the group: its elements sorted by image tuple and each element's position.
+Subgroup sweeps work on sets of positions and close them with lazily built
+multiplication and conjugation rows, so a sweep multiplies permutations once
+per row entry rather than once per closure step.
+
 All derived orderings (sorted elements, conjugacy classes, generator
 reduction) are deterministic so that downstream reports are byte-stable.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .chain import StabilizerChain
@@ -64,6 +71,78 @@ def _extend_closure(
         frontier = fresh
 
 
+class ElementIndex:
+    """The elements of a dense group sorted by image tuple, and their positions.
+
+    A subgroup is a set of positions. Sorting positions sorts elements by
+    image tuple, so sorted position tuples order subgroups as their canonical
+    keys do. A row maps each position i to the position of elems[i] * t
+    (right_row) or of elems[i] ** t (conj_row); each row is built on first
+    use and kept.
+    """
+
+    __slots__ = ("degree", "elems", "pos", "commuting", "_right", "_conj")
+
+    def __init__(self, degree: int, elems: tuple[Permutation, ...]):
+        self.degree = degree
+        self.elems = elems
+        self.pos = {x: i for i, x in enumerate(elems)}
+        # canonical key of a subgroup -> whether it is non-normal with
+        # pairwise-commuting conjugates; filled by the certifier's sweeps
+        self.commuting: dict[tuple, bool] = {}
+        self._right: dict[int, tuple[int, ...]] = {}
+        self._conj: dict[Permutation, tuple[int, ...]] = {}
+
+    def right_row(self, j: int) -> tuple[int, ...]:
+        row = self._right.get(j)
+        if row is None:
+            t, pos = self.elems[j], self.pos
+            row = self._right[j] = tuple(pos[x * t] for x in self.elems)
+        return row
+
+    def conj_row(self, t: Permutation) -> tuple[int, ...]:
+        row = self._conj.get(t)
+        if row is None:
+            ti, pos = t.inverse(), self.pos
+            row = self._conj[t] = tuple(pos[ti * x * t] for x in self.elems)
+        return row
+
+    def extend(self, h: frozenset[int], gens: Sequence[int], j: int) -> frozenset[int]:
+        """Positions of <H, elems[j]>, where h holds the positions of H = <gens>.
+
+        The closure starts from h, which is already closed under gens.
+        """
+        new = self.right_row(j)
+        rows = [self.right_row(i) for i in gens]
+        rows.append(new)
+        have = set(h)
+        frontier = [k for k in (new[i] for i in h) if k not in have]
+        have.update(frontier)
+        while frontier:
+            fresh = []
+            for i in frontier:
+                for row in rows:
+                    k = row[i]
+                    if k not in have:
+                        have.add(k)
+                        fresh.append(k)
+            frontier = fresh
+        return frozenset(have)
+
+    def subgroup(self, positions: Iterable[int], gens: Sequence[int]) -> PermGroup:
+        """The dense group on a closed set of positions, generated by gens."""
+        elems = self.elems
+        ordered = sorted(positions)
+        sub = PermGroup(
+            degree=self.degree,
+            mode="dense",
+            gens=tuple(elems[j] for j in gens),
+            elements=frozenset(elems[i] for i in ordered),
+        )
+        sub._sorted = tuple(elems[i] for i in ordered)
+        return sub
+
+
 class PermGroup:
     """A subgroup of Sym({0, ..., degree-1}).
 
@@ -81,6 +160,7 @@ class PermGroup:
         "_order",
         "_classes",
         "_key",
+        "_index",
     )
 
     def __init__(self, *, degree: int, mode: str, gens=None, elements=None, chain=None):
@@ -93,6 +173,7 @@ class PermGroup:
         self._order = None
         self._classes = None
         self._key = None
+        self._index = None
 
     # -- factories ----------------------------------------------------------
 
@@ -170,8 +251,14 @@ class PermGroup:
 
     def sorted_elements(self) -> tuple[Permutation, ...]:
         if self._sorted is None:
-            self._sorted = tuple(sorted(self.elements()))
+            self._sorted = tuple(sorted(self.elements(), key=attrgetter("images")))
         return self._sorted
+
+    def element_index(self) -> ElementIndex:
+        """The element index of a dense group, built on first use."""
+        if self._index is None:
+            self._index = ElementIndex(self.degree, self.sorted_elements())
+        return self._index
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
@@ -246,15 +333,6 @@ def _elements_to_generators(degree: int, elements: frozenset[Permutation]) -> tu
         gens.append(x)
         _extend_closure(degree, have, gens, x)
     return tuple(gens)
-
-
-def group_from_generators(
-    degree: int,
-    generators: Iterable[Permutation],
-    mode: str = "dense",
-    dense_bound: int = DEFAULT_DENSE_BOUND,
-) -> PermGroup:
-    return PermGroup.from_generators(degree, generators, mode=mode, dense_bound=dense_bound)
 
 
 def subgroup_generated(parent: PermGroup, elems: Iterable[Permutation]) -> PermGroup:
@@ -403,14 +481,14 @@ def e_p_subgroup(g: PermGroup, p: int) -> PermGroup:
     Modulo the derived subgroup the p-power map is a homomorphism, so p-th
     powers of generators already generate the image of the whole power map.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     seeds = list(derived_subgroup(g).generators)
     seeds.extend(x ** p for x in g.generators)
     return subgroup_generated(g, seeds)
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     d = 2

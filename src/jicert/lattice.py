@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import KernelBugError, NotNormalError
 from .group import (
@@ -388,28 +388,31 @@ def centdec_witness(
 def all_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
     """Every subgroup of g, sorted by (order, canonical element list).
 
-    Breadth-first cyclic extension: every subgroup arises from the trivial one
-    by repeatedly adjoining an element of prime power order, so extending each
-    found subgroup by all such elements outside it reaches everything.
+    Cyclic extension (Holt, Eick & O'Brien, Handbook of Computational Group
+    Theory, section 10.1): every subgroup arises from the trivial one by
+    repeatedly adjoining an element of prime power order, so extending each
+    found subgroup H by all such x outside it reaches everything. The sweep
+    runs on g's element index: a subgroup is a set of positions, <H, x> is
+    closed from H's set with right-multiplication rows, and sets are deduped
+    before any group object is built. Found subgroups are extended last in,
+    first out, with x in sorted order, and each keeps the generators
+    H.generators + (x,) of its first discovery, so the output (generator
+    lists included) does not depend on how the closures are computed.
     Exponential in general; callers gate on the group order.
     """
-    ppow = [x for x in g.sorted_elements() if _is_prime_power(x.order())[0]]
-    trivial = PermGroup.trivial(g.degree)
-    found: dict[frozenset[Permutation], PermGroup] = {trivial.elements(): trivial}
+    index = g.element_index()
+    ppow = [j for j, x in enumerate(index.elems) if _is_prime_power(x.order())[0]]
+    trivial = frozenset([index.pos[g.identity]])
+    found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
     frontier = [trivial]
     while frontier:
         h = frontier.pop()
-        for x in ppow:
-            if h.contains(x):
+        gens = found[h]
+        for j in ppow:
+            if j in h:
                 continue
-            m = subgroup_generated(g, h.generators + (x,))
-            if m.elements() not in found:
-                found[m.elements()] = m
+            m = index.extend(h, gens, j)
+            if m not in found:
+                found[m] = gens + (j,)
                 frontier.append(m)
-    return _sorted_groups(found.values())
-
-
-def nonnormal_subgroups(g: PermGroup) -> Iterator[PermGroup]:
-    for h in all_subgroups(g):
-        if not h.is_normal_in(g):
-            yield h
+    return _sorted_groups(index.subgroup(m, gens) for m, gens in found.items())

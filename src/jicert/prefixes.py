@@ -46,6 +46,7 @@ class SystemPrefix:
 
     kernels[0] is None; kernels[n] is the kernel of homs[n-1] inside
     groups[n].  a_marks and b0 are None where the file carried no mark.
+    mode and dense_bound are the ones the groups were built with.
     """
 
     records: tuple[StageRecord, ...]
@@ -54,6 +55,8 @@ class SystemPrefix:
     kernels: tuple[Optional[PermGroup], ...] = field(compare=False)
     a_marks: tuple[Optional[PermGroup], ...] = field(compare=False)
     b0: Optional[PermGroup] = field(compare=False)
+    mode: str = field(default="auto", compare=False)
+    dense_bound: int = field(default=DEFAULT_DENSE_BOUND, compare=False)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -66,7 +69,8 @@ class SystemPrefix:
         """Copy of this prefix with the given marks installed.
 
         Stages absent from a_marks keep their current mark.  The result is
-        revalidated from scratch, so a non-normal mark is rejected here.
+        revalidated from scratch, with this prefix's mode and dense bound, so
+        a non-normal mark is rejected here.
         """
         records = []
         for i, rec in enumerate(self.records):
@@ -85,7 +89,7 @@ class SystemPrefix:
                     b0_generators=b_gens,
                 )
             )
-        return _assemble(tuple(records))
+        return _assemble(tuple(records), mode=self.mode, dense_bound=self.dense_bound)
 
 
 def _perm_from_row(row: object, degree: int, where: str) -> Permutation:
@@ -247,6 +251,8 @@ def _assemble(
         kernels=tuple(kernels),
         a_marks=tuple(a_marks),
         b0=b0,
+        mode=mode,
+        dense_bound=dense_bound,
     )
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import InputFormatError, UnknownGroupError
-from .group import PermGroup, conjugacy_classes, normal_closure
+from .group import PermGroup, conjugacy_classes, is_prime, normal_closure
 
 _DATA_PATH = Path(__file__).parent / "data" / "schur_multipliers.txt"
 
@@ -51,27 +51,16 @@ class SimpleTypeId:
 
     @property
     def is_cyclic(self) -> bool:
-        return _is_prime(self.order)
+        return is_prime(self.order)
 
     @staticmethod
     def cyclic(p: int) -> SimpleTypeId:
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"cyclic simple groups have prime order, not {p}")
         return SimpleTypeId(name=f"C{p}", order=p, fingerprint=((1, 1), (p, p - 1)))
 
     def __repr__(self) -> str:
         return f"SimpleTypeId({self.name}, order={self.order})"
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def element_order_multiset(g: PermGroup) -> tuple[tuple[int, int], ...]:
@@ -141,7 +130,7 @@ def identify_simple_type(s: PermGroup) -> SimpleTypeId:
     """
     if not is_simple(s):
         raise ValueError("input group is not simple")
-    if _is_prime(s.order):
+    if is_prime(s.order):
         return SimpleTypeId.cyclic(s.order)
     hits = [r for r in simple_table_rows() if r.order == s.order]
     if not hits:

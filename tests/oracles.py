@@ -411,3 +411,20 @@ def is_nilpotent_set(degree, elements):
         current = nxt
         if len(current) == 1:
             return True
+
+
+def conjugate_subgroups(elements, sub):
+    """The set {sub^t : t in the group}, each conjugate as a frozenset."""
+    return {frozenset(conj(x, t) for x in sub) for t in elements}
+
+
+def has_commuting_conjugates(elements, sub):
+    """sub is non-normal and any two of its distinct conjugates commute elementwise."""
+    family = list(conjugate_subgroups(elements, sub))
+    return len(family) > 1 and all(
+        mul(x, y) == mul(y, x)
+        for i, a in enumerate(family)
+        for b in family[i + 1 :]
+        for x in a
+        for y in b
+    )

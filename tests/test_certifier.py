@@ -527,7 +527,9 @@ def test_revalidate_malformed_witnesses():
     assert not revalidate_witness(
         CHECK_WILSON_I, {"normal_subgroup": {"order": 5, "generators": []}}, g=s4, k=triv
     )
-    assert not revalidate_witness(CHECK_CENTRALIZER_PRODUCT, {"element": "xy"}, g=s4, b=triv, p=v4)
+    for witness in ({"element": "xy"}, {}, {"element": None}, {"element": [0, 0, 1, 2]},
+                    {"element": [1, 0, 2]}, []):
+        assert not revalidate_witness(CHECK_CENTRALIZER_PRODUCT, witness, g=s4, b=triv, p=v4)
     assert not revalidate_witness(CHECK_DICHOTOMY, {}, g=s4, a=v4, p=v4)
 
 
@@ -549,6 +551,18 @@ def test_revalidate_surfaces_internal_defects(monkeypatch):
         revalidate_witness(CHECK_WILSON_I, witness, g=s4, k=triv)
 
 
+def test_revalidate_surfaces_internal_defects_in_element_witnesses(monkeypatch):
+    def broken(images):
+        raise RuntimeError("internal defect")
+
+    s4, v4, _, triv = s4_subgroups()
+    monkeypatch.setattr("jicert.certifier.Permutation", broken)
+    with pytest.raises(RuntimeError, match="internal defect"):
+        revalidate_witness(
+            CHECK_CENTRALIZER_PRODUCT, {"element": [1, 0, 3, 2]}, g=s4, b=triv, p=v4
+        )
+
+
 def test_sweeps_on_a_chain_stage_are_bounded():
     # stage 1 has order 60^6 and no element table, so the sweeps cannot run there
     prefix = derive_critical_marks(build_wreath_tower([("A5", 5)], 2, chain_mode=True))
@@ -561,3 +575,25 @@ def test_sweeps_on_a_chain_stage_are_bounded():
         assert res.status == BOUNDED
         assert "stage 1 of order 46656000000" in res.note
         assert "--dense-bound" in res.note
+
+
+def test_pair_checks_on_a_chain_stage_are_bounded():
+    # stage 1 has order 60^6 and no element table, so the normal lattice and
+    # the centralizer of the pair checks cannot be computed there
+    prefix = build_wreath_tower([("A5", 5), ("A5", 5), ("C2", 2)], 3, chain_mode=True)
+    marked = prefix.with_marks(
+        dict(enumerate(prefix.groups)), b0=PermGroup.trivial(prefix.groups[0].degree)
+    )
+    assert [g.mode for g in marked.groups] == ["dense", "chain", "chain"]
+    verdict = certify_system(marked)
+    stage0, stage1, stage2 = verdict.stages
+    assert stage0.checks[CHECK_CRITICAL_PAIR].status == PASS
+    # A5 times its centralizer escapes the trivial bottom mark
+    assert stage0.checks[CHECK_CENTRALIZER_PRODUCT].status == FAIL
+    for name in (CHECK_CRITICAL_PAIR, CHECK_CENTRALIZER_PRODUCT):
+        res = stage1.checks[name]
+        assert res.status == BOUNDED
+        assert "stage 1 of order 46656000000" in res.note
+        assert "--dense-bound" in res.note
+        assert stage2.checks[name].status == NOT_APPLICABLE
+    assert "critical_pair inconclusive (bounded) at stage 1" in verdict.summary

@@ -214,6 +214,14 @@ def test_with_marks():
         prefix.with_marks({1: c2})
 
 
+def test_with_marks_keeps_mode_and_dense_bound():
+    prefix = build_wreath_tower([("C2", 2)], 3, chain_mode=True, dense_bound=4)
+    assert [g.mode for g in prefix.groups] == ["dense", "chain", "chain"]
+    marked = prefix.with_marks({0: prefix.groups[0]})
+    assert [g.mode for g in marked.groups] == ["dense", "chain", "chain"]
+    assert (marked.mode, marked.dense_bound) == ("auto", 4)
+
+
 def test_build_wreath_tower_two_stages():
     prefix = build_wreath_tower([("S3", 3)], 2)
     assert [g.order for g in prefix.groups] == [6, 6**3 * 6]

@@ -7,7 +7,9 @@ import pytest
 from jicert import (
     CertifyOptions,
     InputFormatError,
+    PermGroup,
     SchurTable,
+    build_wreath_tower,
     certify_system,
     class_from_names,
     emit_report,
@@ -15,6 +17,7 @@ from jicert import (
     make_report,
     parse_report,
     parse_system,
+    serialize_system,
 )
 from jicert.cli import main
 
@@ -326,3 +329,28 @@ def test_check_seed_has_no_effect(prefix_path, chain_tower, tmp_path, capsys):
     assert reports[1]["options"].pop("seed") == 12345
     assert reports[0]["options"].pop("seed") == 0
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "marked_stages,code",
+    [((0, 1, 2), 1), ((1, 2), 3)],
+    ids=["all-stages", "chain-stages"],
+)
+def test_check_pair_checks_on_chain_stage_are_bounded(tmp_path, capsys, marked_stages, code):
+    prefix = build_wreath_tower([("A5", 5), ("A5", 5), ("C2", 2)], 3, chain_mode=True)
+    marks = {n: prefix.groups[n] for n in marked_stages}
+    b0 = PermGroup.trivial(prefix.groups[0].degree) if 0 in marked_stages else None
+    path, out = tmp_path / "tower.json", tmp_path / "report.json"
+    path.write_text(serialize_system(prefix.with_marks(marks, b0=b0)))
+    assert main(["check", str(path), "--json", str(out)]) == code
+    capsys.readouterr()
+    stage0, stage1, _ = parse_report(out.read_bytes())["stages"]
+    for name in ("critical_pair", "centralizer_product"):
+        assert stage1["checks"][name]["status"] == "bounded"
+        assert "stage 1 of order 46656000000" in stage1["checks"][name]["note"]
+    if 0 in marked_stages:
+        # A5 times its centralizer escapes the trivial bottom mark: a real failure
+        assert stage0["checks"]["critical_pair"]["status"] == "pass"
+        assert stage0["checks"]["centralizer_product"]["status"] == "fail"
+    else:
+        assert stage0["checks"]["critical_pair"]["status"] == "not-applicable"
