@@ -13,8 +13,11 @@ verdict statuses are:
 
 A bounded check is never reported as a pass.  certify_system never trusts
 kernels or marks from the input file beyond what parse-time validation
-established; witnesses can be re-checked independently with
-revalidate_witness.
+established.  Each check family's failure condition is written once, as a
+predicate over the stage context and one candidate witness: the stage sweeps
+report the first candidate for which it holds, and revalidate_witness parses
+a witness and calls the same predicate, so the search and the independent
+re-check agree by construction.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .lattice import (
     all_subgroups,
     central_decomposition,
     chief_series,
+    critical_pair_fails,
     critical_pairs,
     decompose_char_simple,
     is_critical_pair,
@@ -193,24 +197,84 @@ def _pairwise_commute(subs: Sequence[PermGroup]) -> bool:
     return True
 
 
-def _normalized_by(h: PermGroup, a: PermGroup) -> bool:
-    return all(h.contains(x ** y) for y in a.generators for x in h.generators)
-
-
-def _commuting_family(g: PermGroup, u: PermGroup) -> bool:
-    """Whether u is non-normal in g and its distinct conjugates commute
-    elementwise.
+def _commuting_family(g: PermGroup, u: PermGroup) -> Optional[PermGroup]:
+    """The normal closure of u in g when u is non-normal and its distinct
+    conjugates commute elementwise; None otherwise.
 
     Decided once per stage and subgroup: the answer is kept on g's element
     index under u's canonical key, so the sweeps of wilson_ii (one per normal
-    subgroup), commuting_conjugates and revalidate_witness share it.
+    subgroup), commuting_conjugates and revalidate_witness share it, and each
+    qualifying subgroup is closed once.
     """
-    memo = g.element_index().commuting
+    memo = g.element_index().commuting_closures
     key = u.canonical_key()
     if key not in memo:
         conjugates = _conjugates(g, u)
-        memo[key] = len(conjugates) > 1 and _pairwise_commute(conjugates)
+        qualifies = len(conjugates) > 1 and _pairwise_commute(conjugates)
+        memo[key] = normal_closure(g, u) if qualifies else None
     return memo[key]
+
+
+def _centralizer_product(g: PermGroup, p: PermGroup) -> PermGroup:
+    """P C(P): the subgroup of g generated by p and its centralizer."""
+    return join(g, p, centralizer(g, p))
+
+
+# -- failure predicates (critical_pair's is lattice.critical_pair_fails) ------
+#
+# Conjuncts run cheapest first.
+
+
+def _centralizer_product_fails(pc: PermGroup, b: PermGroup, x: Permutation) -> bool:
+    """x lies in pc = P C(P) but not in the bottom mark b."""
+    return not b.contains(x) and pc.contains(x)
+
+
+def _wilson_i_fails(g: PermGroup, k: PermGroup, n: PermGroup) -> bool:
+    """n is a normal subgroup of g that neither lies inside nor contains k."""
+    return not n.is_subgroup_of(k) and not k.is_subgroup_of(n) and n.is_normal_in(g)
+
+
+def _wilson_ii_fails(g: PermGroup, k: PermGroup, n: PermGroup, u: PermGroup) -> bool:
+    """n is not inside k and is the normal closure of u, a non-normal subgroup
+    with commuting conjugates."""
+    if n.is_subgroup_of(k):
+        return False
+    closure = _commuting_family(g, u)
+    return closure is not None and closure == n
+
+
+def _commuting_conjugates_fails(g: PermGroup, a: PermGroup, u: PermGroup) -> bool:
+    """u is non-normal with commuting conjugates and its normal closure contains a."""
+    closure = _commuting_family(g, u)
+    return closure is not None and a.is_subgroup_of(closure)
+
+
+def _dichotomy_fails(a: PermGroup, pc: PermGroup, h: PermGroup, m: PermGroup) -> bool:
+    """h is normalized by a, does not contain pc = P C(P), and does not lie
+    inside m, a maximal normal subgroup of a (the trivial a has none)."""
+    return (
+        not a.is_trivial()
+        and not h.is_subgroup_of(m)
+        and not pc.is_subgroup_of(h)
+        and all(h.contains(x ** y) for y in a.generators for x in h.generators)
+        and m in maximal_normal_subgroups(a)
+    )
+
+
+def _no_central_factor_fails(
+    g: PermGroup, a: PermGroup, n: PermGroup, f1: PermGroup, f2: PermGroup
+) -> bool:
+    """n is a normal subgroup of g containing a, generated by the proper
+    subgroups f1 and f2, which commute elementwise."""
+    return (
+        f1.order < n.order
+        and f2.order < n.order
+        and a.is_subgroup_of(n)
+        and _pairwise_commute((f1, f2))
+        and n.is_normal_in(g)
+        and join(g, f1, f2) == n
+    )
 
 
 # -- per-stage checks --------------------------------------------------------
@@ -234,16 +298,15 @@ def check_wilson_stage(
     _require_normal(g, k, "the kernel")
     sv = StageVerdict(stage_index=stage_index, order=g.order, degree=g.degree)
 
-    above = [
-        n for n in normal_subgroups(g) if not n.is_subgroup_of(k)
-    ]
+    normals = normal_subgroups(g)
+    above = [n for n in normals if not n.is_subgroup_of(k)]
     if not above:
         note = "vacuous: every normal subgroup lies inside the kernel"
         sv.checks[CHECK_WILSON_I] = CheckResult(PASS, note=note)
         sv.checks[CHECK_WILSON_II] = CheckResult(PASS, note=note)
         return sv
 
-    bad = next((n for n in above if not k.is_subgroup_of(n)), None)
+    bad = next((n for n in normals if _wilson_i_fails(g, k, n)), None)
     if bad is None:
         sv.checks[CHECK_WILSON_I] = CheckResult(
             PASS,
@@ -257,20 +320,9 @@ def check_wilson_stage(
             note="a normal subgroup neither contains nor lies inside the kernel",
         )
 
-    hit = None
-    skipped: list[int] = []
-    for lsub in above:
-        if lsub.order > subgroup_bound:
-            skipped.append(lsub.order)
-            continue
-        for u in all_subgroups(lsub):
-            if not _commuting_family(g, u):
-                continue
-            if normal_closure(g, u.generators).order == lsub.order:
-                hit = (lsub, u)
-                break
-        if hit:
-            break
+    skipped = [n.order for n in above if n.order > subgroup_bound]
+    swept = ((n, u) for n in above if n.order <= subgroup_bound for u in all_subgroups(n))
+    hit = next(((n, u) for n, u in swept if _wilson_ii_fails(g, k, n, u)), None)
     if hit:
         lsub, u = hit
         sv.checks[CHECK_WILSON_II] = CheckResult(
@@ -321,20 +373,16 @@ def check_critical_stage(
 
     sv = StageVerdict(stage_index=stage_index, order=g.order, degree=g.degree)
 
-    if a_n.order == b_n.order and a_n == b_n:
+    if critical_pair_fails(g, a_n, b_n, None):
         sv.checks[CHECK_CRITICAL_PAIR] = CheckResult(
             FAIL,
             witness={"top": _sub_w(a_n), "bottom": _sub_w(b_n)},
-            note="degenerate pair: top and bottom marks coincide",
-        )
-    elif not b_n.is_subgroup_of(a_n):
-        sv.checks[CHECK_CRITICAL_PAIR] = CheckResult(
-            FAIL,
-            witness={"top": _sub_w(a_n), "bottom": _sub_w(b_n)},
-            note="bottom mark is not contained in the top mark",
+            note="degenerate pair: top and bottom marks coincide"
+            if a_n == b_n
+            else "bottom mark is not contained in the top mark",
         )
     else:
-        ok, wit = is_critical_pair(g, a_n, b_n)
+        ok, n = is_critical_pair(g, a_n, b_n)
         if ok:
             sv.checks[CHECK_CRITICAL_PAIR] = CheckResult(
                 PASS, note=f"pair orders ({a_n.order}, {b_n.order})"
@@ -342,18 +390,18 @@ def check_critical_stage(
         else:
             sv.checks[CHECK_CRITICAL_PAIR] = CheckResult(
                 FAIL,
-                witness={"normal_subgroup": _sub_w(wit)},
+                witness={"normal_subgroup": _sub_w(n)},
                 note="a proper normal subgroup of the top mark escapes the bottom mark",
             )
 
     p = rho.image(a_next)
-    pc = join(g, p, centralizer(g, p))
-    if pc.is_subgroup_of(b_n):
+    pc = _centralizer_product(g, p)
+    x = next((x for x in pc.sorted_elements() if _centralizer_product_fails(pc, b_n, x)), None)
+    if x is None:
         sv.checks[CHECK_CENTRALIZER_PRODUCT] = CheckResult(
             PASS, note=f"image order {p.order}, product order {pc.order}"
         )
     else:
-        x = next(x for x in pc.sorted_elements() if not b_n.contains(x))
         sv.checks[CHECK_CENTRALIZER_PRODUCT] = CheckResult(
             FAIL,
             witness={"element": list(x.images), "image_order": p.order},
@@ -381,19 +429,17 @@ def check_commuting_conjugates_stage(
         )
         return sv
 
-    for u in all_subgroups(g):
-        if not _commuting_family(g, u):
-            continue
-        if a.is_subgroup_of(normal_closure(g, u.generators)):
-            sv.checks[CHECK_COMMUTING_CONJUGATES] = CheckResult(
-                FAIL,
-                witness={"subgroup": _sub_w(u)},
-                note="its normal closure contains the stage mark",
-            )
-            return sv
-    sv.checks[CHECK_COMMUTING_CONJUGATES] = CheckResult(
-        PASS, note="no qualifying subgroup"
-    )
+    u = next((u for u in all_subgroups(g) if _commuting_conjugates_fails(g, a, u)), None)
+    if u is None:
+        sv.checks[CHECK_COMMUTING_CONJUGATES] = CheckResult(
+            PASS, note="no qualifying subgroup"
+        )
+    else:
+        sv.checks[CHECK_COMMUTING_CONJUGATES] = CheckResult(
+            FAIL,
+            witness={"subgroup": _sub_w(u)},
+            note="its normal closure contains the stage mark",
+        )
     return sv
 
 
@@ -429,36 +475,28 @@ def check_strengthened_stage(
             note=f"group order {g.order} exceeds the subgroup bound {subgroup_bound}",
         )
     else:
-        pc = join(g, p, centralizer(g, p))
+        pc = _centralizer_product(g, p)
         maxn = maximal_normal_subgroups(a)
-        verdict = None
-        for h in all_subgroups(g):
-            if not _normalized_by(h, a):
-                continue
-            if pc.is_subgroup_of(h):
-                continue
-            m = next((m for m in maxn if not h.is_subgroup_of(m)), None)
-            if m is not None:
-                verdict = CheckResult(
-                    FAIL,
-                    witness={"subgroup": _sub_w(h), "maximal_normal": _sub_w(m)},
-                    note=(
-                        "a subgroup normalized by the mark misses the centralizer "
-                        "product and escapes a maximal normal subgroup of the mark"
-                    ),
-                )
-                break
-        sv.checks[CHECK_DICHOTOMY] = verdict or CheckResult(
-            PASS, note="every normalized subgroup satisfies the dichotomy"
-        )
+        swept = ((h, m) for h in all_subgroups(g) for m in maxn)
+        hit = next(((h, m) for h, m in swept if _dichotomy_fails(a, pc, h, m)), None)
+        if hit is None:
+            sv.checks[CHECK_DICHOTOMY] = CheckResult(
+                PASS, note="every normalized subgroup satisfies the dichotomy"
+            )
+        else:
+            h, m = hit
+            sv.checks[CHECK_DICHOTOMY] = CheckResult(
+                FAIL,
+                witness={"subgroup": _sub_w(h), "maximal_normal": _sub_w(m)},
+                note=(
+                    "a subgroup normalized by the mark misses the centralizer "
+                    "product and escapes a maximal normal subgroup of the mark"
+                ),
+            )
 
-    bad = None
     above = [n for n in normal_subgroups(g) if a.is_subgroup_of(n)]
-    for n in above:
-        parts = central_decomposition(n)
-        if parts is not None:
-            bad = (n, parts)
-            break
+    split = ((n, parts) for n in above if (parts := central_decomposition(n)) is not None)
+    bad = next(((n, fs) for n, fs in split if _no_central_factor_fails(g, a, n, *fs)), None)
     if bad is None:
         sv.checks[CHECK_NO_CENTRAL_FACTOR] = CheckResult(
             PASS,
@@ -484,12 +522,7 @@ def check_centralize_or_contain(
     """For a critical pair (a, b) and normal k: either k centralizes the
     section a/b, or k contains a and is not nilpotent."""
     a, b = pair
-    _require_normal(g, a, "the pair top")
-    _require_normal(g, b, "the pair bottom")
-    if a.order == b.order or not b.is_subgroup_of(a):
-        raise ValueError("the pair is not critical")
-    ok, _ = is_critical_pair(g, a, b)
-    if not ok:
+    if not is_critical_pair(g, a, b)[0]:
         raise ValueError("the pair is not critical")
     _require_normal(g, k, "the normal subgroup")
     if k.is_subgroup_of(centralizer_of_section(g, a, b)):
@@ -595,25 +628,19 @@ def derive_critical_marks(prefix: SystemPrefix) -> SystemPrefix:
         raise ValueError("mark derivation needs at least two stages")
 
     marks: dict[int, PermGroup] = {}
-    m0 = None
     for n in range(1, len(prefix.groups)):
         g = prefix.groups[n - 1]
         k = prefix.kernels[n - 1]
         if g.is_trivial():
             raise DerivationError("the stage group is trivial", level=n)
-        chosen = None
-        for m in minimal_normal_subgroups(g):
+
+        def selected(m: PermGroup) -> bool:
             c = centralizer(g, m)
             if k is None:
-                if c.order == g.order:
-                    continue
-            else:
-                if k.is_subgroup_of(c):
-                    continue
-                if not join(g, m, c).is_subgroup_of(k):
-                    continue
-            chosen = m
-            break
+                return c.order < g.order
+            return not k.is_subgroup_of(c) and _centralizer_product(g, m).is_subgroup_of(k)
+
+        chosen = next((m for m in minimal_normal_subgroups(g) if selected(m)), None)
         if chosen is None:
             raise DerivationError(
                 f"no minimal normal subgroup of stage {n - 1} meets the "
@@ -622,13 +649,11 @@ def derive_critical_marks(prefix: SystemPrefix) -> SystemPrefix:
             )
         marks[n] = prefix.homs[n - 1].preimage(chosen)
         if n == 1:
-            m0 = chosen
+            pc0 = _centralizer_product(g, chosen)
 
-    g0 = prefix.groups[0]
-    pairs = critical_pairs(g0)
+    pairs = critical_pairs(prefix.groups[0])
     if not pairs:
         raise DerivationError("the coarsest stage group has no critical pair", level=0)
-    pc0 = join(g0, m0, centralizer(g0, m0))
     pick = next((pr for pr in pairs if pc0.is_subgroup_of(pr.bottom)), pairs[0])
     marks[0] = pick.top
     return prefix.with_marks(marks, b0=pick.bottom)
@@ -901,88 +926,50 @@ def revalidate_witness(
 ) -> bool:
     """Re-check a failure witness against the stage context from scratch.
 
-    Returns True when the witness still demonstrates the failure.  The
+    Returns True when the witness still demonstrates the failure: it is
+    parsed and handed to the failure predicate the check's search uses.  The
     context arguments mirror the ones the original check received; a
-    malformed witness simply fails to revalidate.
+    malformed witness, or a missing context argument, fails to revalidate.
     """
-    if check_name == CHECK_WILSON_I:
-        lsub = _witness_subgroup(g, witness.get("normal_subgroup"))
-        return (
-            lsub is not None
-            and k is not None
-            and lsub.is_normal_in(g)
-            and not lsub.is_subgroup_of(k)
-            and not k.is_subgroup_of(lsub)
-        )
-    if check_name == CHECK_WILSON_II:
-        lsub = _witness_subgroup(g, witness.get("normal_subgroup"))
-        u = _witness_subgroup(g, witness.get("subgroup"))
-        if lsub is None or u is None or k is None:
-            return False
-        return (
-            lsub.is_normal_in(g)
-            and not lsub.is_subgroup_of(k)
-            and u.is_subgroup_of(lsub)
-            and _commuting_family(g, u)
-            and normal_closure(g, u.generators).order == lsub.order
-        )
+    if not isinstance(witness, Mapping):
+        witness = {}  # nothing to parse, so no check accepts it
+
+    def sub(key: str) -> Optional[PermGroup]:
+        return _witness_subgroup(g, witness.get(key))
+
+    def given(*parts: Optional[PermGroup]) -> bool:
+        return all(part is not None for part in parts)
+
     if check_name == CHECK_CRITICAL_PAIR:
-        if a is None or b is None:
-            return False
         if "normal_subgroup" in witness:
-            n = _witness_subgroup(g, witness["normal_subgroup"])
-            return (
-                n is not None
-                and n.is_normal_in(g)
-                and n.is_subgroup_of(a)
-                and n.order < a.order
-                and not n.is_subgroup_of(b)
-            )
-        return a.order == b.order or not b.is_subgroup_of(a)
+            n = sub("normal_subgroup")
+            return given(a, b, n) and critical_pair_fails(g, a, b, n)
+        top, bottom = sub("top"), sub("bottom")
+        return given(a, b) and (top, bottom) == (a, b) and critical_pair_fails(g, a, b, None)
     if check_name == CHECK_CENTRALIZER_PRODUCT:
-        if b is None or p is None:
-            return False
         try:
             x = Permutation(tuple(witness["element"]))
         except (KeyError, TypeError, ValueError):
             return False
-        if x.degree != g.degree:
+        if not given(b, p) or x.degree != g.degree:
             return False
-        pc = join(g, p, centralizer(g, p))
-        return pc.contains(x) and not b.contains(x)
+        return _centralizer_product_fails(_centralizer_product(g, p), b, x)
+    if check_name == CHECK_WILSON_I:
+        n = sub("normal_subgroup")
+        return given(k, n) and _wilson_i_fails(g, k, n)
+    if check_name == CHECK_WILSON_II:
+        n, u = sub("normal_subgroup"), sub("subgroup")
+        return given(k, n, u) and _wilson_ii_fails(g, k, n, u)
     if check_name == CHECK_COMMUTING_CONJUGATES:
-        u = _witness_subgroup(g, witness.get("subgroup"))
-        if u is None or a is None:
-            return False
-        return _commuting_family(g, u) and a.is_subgroup_of(
-            normal_closure(g, u.generators)
-        )
+        u = sub("subgroup")
+        return given(a, u) and _commuting_conjugates_fails(g, a, u)
     if check_name == CHECK_DICHOTOMY:
-        h = _witness_subgroup(g, witness.get("subgroup"))
-        m = _witness_subgroup(g, witness.get("maximal_normal"))
-        if h is None or m is None or a is None or p is None:
-            return False
-        pc = join(g, p, centralizer(g, p))
-        return (
-            _normalized_by(h, a)
-            and not pc.is_subgroup_of(h)
-            and any(m == mm for mm in maximal_normal_subgroups(a))
-            and not h.is_subgroup_of(m)
-        )
+        h, m = sub("subgroup"), sub("maximal_normal")
+        return given(a, p, h, m) and _dichotomy_fails(a, _centralizer_product(g, p), h, m)
     if check_name == CHECK_NO_CENTRAL_FACTOR:
-        n = _witness_subgroup(g, witness.get("normal_subgroup"))
-        if n is None or not isinstance(witness.get("factors"), list):
+        factors = witness.get("factors")
+        if not isinstance(factors, list) or len(factors) != 2:
             return False
-        parts = [_witness_subgroup(g, f) for f in witness["factors"]]
-        if len(parts) != 2 or any(f is None for f in parts):
-            return False
-        f1, f2 = parts
-        return (
-            n.is_normal_in(g)
-            and (a is None or a.is_subgroup_of(n))
-            and f1.order < n.order
-            and f2.order < n.order
-            and all(x * y == y * x for x in f1.generators for y in f2.generators)
-            and join(g, f1, f2).order == n.order
-        )
+        n, f1, f2 = sub("normal_subgroup"), *(_witness_subgroup(g, f) for f in factors)
+        return given(a, n, f1, f2) and _no_central_factor_fails(g, a, n, f1, f2)
     raise ValueError(f"unknown check name {check_name!r}")

@@ -81,15 +81,15 @@ class ElementIndex:
     use and kept.
     """
 
-    __slots__ = ("degree", "elems", "pos", "commuting", "_right", "_conj")
+    __slots__ = ("degree", "elems", "pos", "commuting_closures", "_right", "_conj")
 
     def __init__(self, degree: int, elems: tuple[Permutation, ...]):
         self.degree = degree
         self.elems = elems
         self.pos = {x: i for i, x in enumerate(elems)}
-        # canonical key of a subgroup -> whether it is non-normal with
-        # pairwise-commuting conjugates; filled by the certifier's sweeps
-        self.commuting: dict[tuple, bool] = {}
+        # canonical key of a subgroup -> its normal closure if it is non-normal
+        # with pairwise-commuting conjugates, else None; filled by the certifier
+        self.commuting_closures: dict[tuple, PermGroup | None] = {}
         self._right: dict[int, tuple[int, ...]] = {}
         self._conj: dict[Permutation, tuple[int, ...]] = {}
 

@@ -135,25 +135,34 @@ def chief_series(g: PermGroup) -> tuple[PermGroup, ...]:
     return tuple(series)
 
 
+def critical_pair_fails(
+    g: PermGroup, a: PermGroup, b: PermGroup, n: Optional[PermGroup]
+) -> bool:
+    """Whether (a, b) is not a critical pair of g: with n None, because b is
+    not a proper subgroup of a; otherwise because n is a normal subgroup of g
+    properly inside a and not inside b."""
+    if n is None:
+        return a.order == b.order or not b.is_subgroup_of(a)
+    escapes = _proper_in(n, a) and n.is_subgroup_of(a) and not n.is_subgroup_of(b)
+    return escapes and n.is_normal_in(g)
+
+
 def is_critical_pair(
     g: PermGroup, a: PermGroup, b: PermGroup
 ) -> tuple[bool, Optional[PermGroup]]:
     """Whether every normal subgroup of g properly inside a lies inside b.
 
     Returns (True, None) or (False, witness) with the least offending normal
-    subgroup as witness. a = b is rejected: the pair carries no section.
+    subgroup as witness. A bottom that is not a proper subgroup of the top
+    is rejected: the pair carries no section.
     """
     for sub in (a, b):
         if not sub.is_normal_in(g):
             raise NotNormalError("critical pair members must be normal")
-    if not b.is_subgroup_of(a):
-        raise ValueError("bottom of a critical pair must lie in the top")
-    if a.order == b.order:
-        raise ValueError("degenerate pair: top equals bottom")
-    for n in normal_subgroups(g):
-        if _proper_in(n, a) and n.is_subgroup_of(a) and not n.is_subgroup_of(b):
-            return False, n
-    return True, None
+    if critical_pair_fails(g, a, b, None):
+        raise ValueError("the bottom of a critical pair must lie properly inside the top")
+    n = next((n for n in normal_subgroups(g) if critical_pair_fails(g, a, b, n)), None)
+    return n is None, n
 
 
 def critical_pairs(g: PermGroup) -> tuple[CriticalPair, ...]:

@@ -30,6 +30,7 @@ from jicert import (
 from jicert.certifier import (
     BOUNDED,
     CHECK_CENTRALIZER_PRODUCT,
+    CHECK_ORDER,
     CHECK_COMMUTING_CONJUGATES,
     CHECK_CRITICAL_PAIR,
     CHECK_DICHOTOMY,
@@ -61,6 +62,10 @@ def s4_subgroups():
     s4 = symmetric(4)
     v4 = subgroup_generated(s4, [Permutation([1, 0, 3, 2]), Permutation([2, 3, 0, 1])])
     return s4, v4, alternating(4), PermGroup.trivial(4)
+
+
+def _blob(generators):
+    return {"generators": generators}
 
 
 # -- kernel-containment / commuting-generation checks --------------------------
@@ -143,6 +148,13 @@ def test_critical_stage_degenerate_pair(tower_prefix):
     assert res.status == FAIL
     assert res.note == "degenerate pair: top and bottom marks coincide"
     assert res.witness["top"]["order"] == 2
+    context = dict(g=p.groups[1], a=p.a_marks[1], b=p.kernels[1])
+    assert revalidate_witness(CHECK_CRITICAL_PAIR, res.witness, **context)
+    # the witness must name the pair it condemns
+    for junk in ({}, {"top": 5, "bottom": "x"}, {"top": res.witness["top"]}):
+        assert not revalidate_witness(CHECK_CRITICAL_PAIR, junk, **context)
+    s4, v4, _, _ = s4_subgroups()
+    assert not revalidate_witness(CHECK_CRITICAL_PAIR, {}, g=s4, a=v4, b=v4)
 
 
 def test_critical_stage_escaping_normal_subgroup(golden_prefix):
@@ -180,6 +192,11 @@ def test_critical_stage_rejects_bottom_outside_top(golden_prefix):
     res = sv.checks[CHECK_CRITICAL_PAIR]
     assert res.status == FAIL
     assert res.note == "bottom mark is not contained in the top mark"
+    context = dict(g=p.groups[0], a=triv, b=p.b0)
+    assert revalidate_witness(CHECK_CRITICAL_PAIR, res.witness, **context)
+    swapped = {"top": res.witness["bottom"], "bottom": res.witness["top"]}
+    for junk in ({}, {"top": 5, "bottom": "x"}, swapped):
+        assert not revalidate_witness(CHECK_CRITICAL_PAIR, junk, **context)
     with pytest.raises(ValueError, match="proper"):
         check_critical_stage(p.homs[0], p.a_marks[1], p.a_marks[0], p.groups[0])
 
@@ -233,6 +250,8 @@ def test_strengthened_fails_on_v4_marks():
     assert ncf.status == FAIL
     assert ncf.note == "a normal subgroup above the mark is a central product"
     assert revalidate_witness(CHECK_NO_CENTRAL_FACTOR, ncf.witness, g=s4, a=v4)
+    # without the mark the check has no context, as every other check
+    assert not revalidate_witness(CHECK_NO_CENTRAL_FACTOR, ncf.witness, g=s4)
 
 
 def test_strengthened_passes_on_a4_marks():
@@ -252,10 +271,35 @@ def test_strengthened_central_factor_on_v4_group():
 
 
 def test_strengthened_vacuous_on_trivial_mark():
-    s4, _, _, triv = s4_subgroups()
+    s4, v4, _, triv = s4_subgroups()
     sv = check_strengthened_stage(s4, triv, triv, triv)
     assert sv.checks[CHECK_DICHOTOMY].status == PASS
     assert "vacuous" in sv.checks[CHECK_DICHOTOMY].note
+    # the trivial mark has no maximal normal subgroup, so no witness holds
+    witness = {"subgroup": _blob([[1, 0, 3, 2]]), "maximal_normal": _blob([])}
+    assert not revalidate_witness(CHECK_DICHOTOMY, witness, g=s4, a=triv, p=v4)
+
+
+def test_revalidation_checks_each_condition():
+    """A witness that meets every part of a failure condition but one is refused."""
+    s4, v4, a4, triv = s4_subgroups()
+    # C2 x C2 with one factor as kernel: the trivial group lies inside it
+    g = direct_product(cyclic(2), cyclic(2))
+    k = subgroup_generated(g, [g.generators[0]])
+    assert not revalidate_witness(CHECK_WILSON_I, {"normal_subgroup": _blob([])}, g=g, k=k)
+    # A4 is normalized by A4 and escapes V4, but contains A4 C(A4) = A4
+    witness = {
+        "subgroup": _blob([[1, 2, 0, 3], [0, 2, 3, 1]]),
+        "maximal_normal": _blob([[1, 0, 3, 2], [2, 3, 0, 1]]),
+    }
+    assert not revalidate_witness(CHECK_DICHOTOMY, witness, g=s4, a=a4, p=a4)
+    # <(01)> and <(23)> commute and have order 2, but generate a Klein group
+    # other than the normal V4
+    witness = {
+        "normal_subgroup": _blob([[1, 0, 3, 2], [2, 3, 0, 1]]),
+        "factors": [_blob([[1, 0, 2, 3]]), _blob([[0, 1, 3, 2]])],
+    }
+    assert not revalidate_witness(CHECK_NO_CENTRAL_FACTOR, witness, g=s4, a=triv)
 
 
 def test_strengthened_bounded():
@@ -531,6 +575,9 @@ def test_revalidate_malformed_witnesses():
                     {"element": [1, 0, 2]}, []):
         assert not revalidate_witness(CHECK_CENTRALIZER_PRODUCT, witness, g=s4, b=triv, p=v4)
     assert not revalidate_witness(CHECK_DICHOTOMY, {}, g=s4, a=v4, p=v4)
+    for name in CHECK_ORDER:
+        for witness in ([], "witness", None):
+            assert not revalidate_witness(name, witness, g=s4, k=triv, a=v4, b=triv, p=v4)
 
 
 def test_revalidate_rejects_malformed_subgroup_blobs():
@@ -561,6 +608,29 @@ def test_revalidate_surfaces_internal_defects_in_element_witnesses(monkeypatch):
         revalidate_witness(
             CHECK_CENTRALIZER_PRODUCT, {"element": [1, 0, 3, 2]}, g=s4, b=triv, p=v4
         )
+
+
+def test_each_qualifying_subgroup_is_closed_once(monkeypatch):
+    from jicert import certifier
+
+    calls = []
+
+    original = certifier.normal_closure
+
+    def counting(parent, sub):
+        calls.append((id(parent), sub.canonical_key()))
+        return original(parent, sub)
+
+    monkeypatch.setattr(certifier, "normal_closure", counting)
+    prefix = parse_system((DATA / "s4_s3_prefix.json").read_text())
+    options = CertifyOptions(wilson=True, commuting_conjugates=True, strengthened=True)
+    certify_system(prefix, options)
+    # wilson_ii used to close the same subgroup once per normal subgroup: 9 calls
+    assert calls and len(calls) == len(set(calls))
+    closed = [
+        c for g in prefix.groups for c in g.element_index().commuting_closures.values()
+    ]
+    assert len(calls) == sum(c is not None for c in closed) == 3
 
 
 def test_sweeps_on_a_chain_stage_are_bounded():

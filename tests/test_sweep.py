@@ -100,17 +100,26 @@ def test_conjugates_match_brute_force(small_corpus):
 
 
 def test_commuting_family_memo_matches_fresh_computation(small_corpus):
+    def closure(stage, u):
+        c = _commuting_family(stage, u)
+        return None if c is None else tuples(c)
+
     for name, g in small_corpus.items():
         if g.order > REFERENCE_ORDER_BOUND:
             continue
         elements = tuples(g)
         fresh_stage = PermGroup.from_generators(g.degree, g.generators)
         for u in all_subgroups(g):
-            want = oracles.has_commuting_conjugates(elements, tuples(u))
-            assert _commuting_family(g, u) == want, name
-            assert g.element_index().commuting[u.canonical_key()] == want, name
-            assert _commuting_family(g, u) == want, name  # answered from the memo
+            want = None
+            if oracles.has_commuting_conjugates(elements, tuples(u)):
+                # the normal closure is the join of the conjugates
+                want = oracles.join_sets(
+                    g.degree, oracles.conjugate_subgroups(elements, tuples(u))
+                )
+            assert closure(g, u) == want, name
+            memo = g.element_index().commuting_closures
+            assert memo[u.canonical_key()] is _commuting_family(g, u), name  # a memo hit
             # a subgroup equal to u, found with other generators, shares the entry
             twin = subgroup_generated(g, reversed(u.generators))
-            assert _commuting_family(g, twin) == want, name
-            assert _commuting_family(fresh_stage, u) == want, name
+            assert _commuting_family(g, twin) is memo[u.canonical_key()], name
+            assert closure(fresh_stage, u) == want, name
