@@ -1,18 +1,18 @@
 """Homomorphisms between permutation groups; kernels, preimages, quotients.
 
-A dense source gets a full evaluation table by breadth-first closure, which
-is also the well-definedness proof: phi(x*g) = phi(x)*phi(g) is enforced at
-every table entry, and a clash is a concrete witness that the generator
-images extend to no homomorphism.
-
-A chain source uses the graph group: the subgroup of Sym(source points +
+Every map is validated by its graph group: the subgroup of Sym(source points +
 shifted target points) generated by the paired permutations (g, phi(g)). The
-map is well defined exactly when the pointwise stabilizer of the source
-points in the graph group is trivial; a stabilizer chain with the source
-points as forced base prefix decides that exactly and doubles as the
-evaluator (lift a source element through the prefix, read the target half).
-A second chain with the target points first yields the kernel, and its order
-is checked against |image| * |kernel| = |source|.
+map is well defined exactly when the pointwise stabilizer of the source points
+in the graph group is trivial; a stabilizer chain with the source points as
+forced base prefix decides that exactly and doubles as the evaluator (lift a
+source element through the prefix, read the target half). A second chain with
+the target points first, built on first use, yields the kernel and preimages,
+and the kernel order is checked against |image| * |kernel| = |source|.
+
+Kernels and preimages reach report witnesses through their generator lists.
+Under a dense source they are dense groups named by the greedy generators of
+their element sets (PermGroup.from_element_set), so the bytes do not depend on
+the chain; under a chain source they keep the chain's generators.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .perm import Permutation
 class GroupHom:
     """A verified homomorphism given by images of the source generators."""
 
-    __slots__ = ("source", "target", "generator_images", "_table", "_graph_gens",
-                 "_graph_src", "_graph_tgt")
+    __slots__ = ("source", "target", "generator_images", "_graph_gens", "_graph_src",
+                 "_graph_tgt")
 
     def __init__(
         self,
@@ -57,39 +57,10 @@ class GroupHom:
         self.source = source
         self.target = target
         self.generator_images = images
-        self._table = None
-        self._graph_gens = None
-        self._graph_src = None
         self._graph_tgt = None
-        if source.mode == "dense":
-            self._build_table()
-        else:
-            self._build_graph()
+        self._build_graph()
 
     # -- validation ---------------------------------------------------------
-
-    def _build_table(self) -> None:
-        gens = self.source.generators
-        images = self.generator_images
-        table = {self.source.identity: self.target.identity}
-        frontier = [self.source.identity]
-        while frontier:
-            fresh = []
-            for x in frontier:
-                fx = table[x]
-                for g, fg in zip(gens, images):
-                    y = x * g
-                    fy = fx * fg
-                    known = table.get(y)
-                    if known is None:
-                        table[y] = fy
-                        fresh.append(y)
-                    elif known != fy:
-                        raise HomomorphismError(
-                            f"generator images are inconsistent at {y!r}"
-                        )
-            frontier = fresh
-        self._table = table
 
     def _build_graph(self) -> None:
         ds, dt = self.source.degree, self.target.degree
@@ -107,15 +78,20 @@ class GroupHom:
                 )
         self._graph_src = src_chain
 
+    def _target_first(self) -> StabilizerChain:
+        if self._graph_tgt is None:
+            ds, dt = self.source.degree, self.target.degree
+            self._graph_tgt = StabilizerChain(
+                ds + dt, self._graph_gens, base_prefix=range(ds, ds + dt)
+            )
+        return self._graph_tgt
+
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x: Permutation) -> Permutation:
-        if self._table is not None:
-            fx = self._table.get(x)
-            if fx is None:
-                raise MembershipError("argument is outside the source group")
-            return fx
-        ds, dt = self.source.degree, self.target.degree
+        ds = self.source.degree
+        if x.degree != ds:
+            raise MembershipError(f"degree {x.degree} argument to a map on degree {ds}")
         lifted = self._graph_src.lift_points({i: x.images[i] for i in range(ds)}, ds)
         return Permutation(tuple(p - ds for p in lifted[ds:]))
 
@@ -132,40 +108,38 @@ class GroupHom:
     def is_surjective(self) -> bool:
         return self.image().order == self.target.order
 
-    def kernel(self, dense_bound: int = DEFAULT_DENSE_BOUND) -> PermGroup:
+    def _kernel_gens(self) -> list[Permutation]:
         ds, dt = self.source.degree, self.target.degree
-        if self._table is not None:
-            elems = frozenset(x for x, fx in self._table.items() if fx.is_identity())
-            return PermGroup.from_element_set(ds, elems)
-        if self._graph_tgt is None:
-            self._graph_tgt = StabilizerChain(
-                ds + dt, self._graph_gens, base_prefix=range(ds, ds + dt)
-            )
-        kgens = [Permutation(t[:ds]) for t in self._graph_tgt.gens_fixing_prefix(dt)]
-        ker = PermGroup.from_generators(ds, kgens, mode="auto", dense_bound=dense_bound)
+        return [Permutation(t[:ds]) for t in self._target_first().gens_fixing_prefix(dt)]
+
+    def _source_subgroup(
+        self, gens: list[Permutation], mode: str, dense_bound: int = DEFAULT_DENSE_BOUND
+    ) -> PermGroup:
+        """<gens>: dense by its element set under a dense source, else in mode."""
+        if self.source.mode == "dense":
+            sub = subgroup_generated(self.source, gens)
+            return PermGroup.from_element_set(self.source.degree, sub.elements())
+        return PermGroup.from_generators(
+            self.source.degree, gens, mode=mode, dense_bound=dense_bound
+        )
+
+    def kernel(self, dense_bound: int = DEFAULT_DENSE_BOUND) -> PermGroup:
+        ker = self._source_subgroup(self._kernel_gens(), "auto", dense_bound)
         if ker.order * self.image().order != self.source.order:
             raise KernelBugError("kernel order inconsistent with image order")
         return ker
 
     def preimage(self, sub: PermGroup) -> PermGroup:
         """Full preimage of sub, which must lie inside the image."""
-        if sub.degree != self.target.degree:
-            raise DegreeMismatchError("preimage argument has the wrong degree")
-        if self._table is not None:
-            elems = frozenset(x for x, fx in self._table.items() if sub.contains(fx))
-            return PermGroup.from_element_set(self.source.degree, elems)
         ds, dt = self.source.degree, self.target.degree
-        if self._graph_tgt is None:
-            self._graph_tgt = StabilizerChain(
-                ds + dt, self._graph_gens, base_prefix=range(ds, ds + dt)
-            )
-        gens = [Permutation(t[:ds]) for t in self._graph_tgt.gens_fixing_prefix(dt)]
+        if sub.degree != dt:
+            raise DegreeMismatchError("preimage argument has the wrong degree")
+        chain = self._target_first()
+        gens = self._kernel_gens()
         for k in sub.generators:
-            lifted = self._graph_tgt.lift_points(
-                {ds + j: ds + k.images[j] for j in range(dt)}, dt
-            )
+            lifted = chain.lift_points({ds + j: ds + k.images[j] for j in range(dt)}, dt)
             gens.append(Permutation(lifted[:ds]))
-        return PermGroup.from_generators(self.source.degree, gens, mode="chain")
+        return self._source_subgroup(gens, "chain")
 
     def compose(self, inner: GroupHom) -> GroupHom:
         """self after inner."""

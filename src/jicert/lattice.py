@@ -328,14 +328,11 @@ def _central_factor_scan(g: PermGroup) -> Optional[list[PermGroup]]:
     return None
 
 
-def central_decomposition(
-    g: PermGroup, exhaustive_bound: int = 300
-) -> Optional[list[PermGroup]]:
+def central_decomposition(g: PermGroup) -> Optional[list[PermGroup]]:
     """Two proper subgroups that commute elementwise and generate g, or None.
 
     None is a definitive verdict: the searches are complete (abelian structure
-    on one side, the normal-subgroup centralizer scan on the other). Below
-    exhaustive_bound a raw scan over all subgroup pairs backs the verdict up.
+    on one side, the normal-subgroup centralizer scan on the other).
     """
     found = _abelian_split(g) if g.is_abelian() else _central_factor_scan(g)
     if found is not None:
@@ -346,21 +343,7 @@ def central_decomposition(
             x * y == y * x for x in h.generators for y in k.generators
         ):
             raise KernelBugError("central factors do not decompose the group")
-        return found
-    if 1 < g.order <= exhaustive_bound:
-        subs = all_subgroups(g)
-        for h in subs:
-            if not _proper_in(h, g):
-                continue
-            c = centralizer(g, h)
-            for k in subs:
-                if (
-                    _proper_in(k, g)
-                    and k.is_subgroup_of(c)
-                    and product_order(h, k) == g.order
-                ):
-                    return [h, k]
-    return None
+    return found
 
 
 def centdec_witness(

@@ -1,3 +1,8 @@
+"""Homomorphisms, and the graph-group evaluator against the evaluation table
+it replaced."""
+
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,11 +16,16 @@ from jicert import (
     PermGroup,
     Permutation,
     alternating,
+    build_wreath_tower,
     cyclic,
+    parse_system,
     quotient,
     subgroup_generated,
     symmetric,
 )
+from jicert.lattice import minimal_normal_subgroups
+
+DATA = Path(__file__).parent / "data"
 
 
 def sign_map(g):
@@ -64,9 +74,15 @@ def test_images_must_lie_in_target():
 
 
 def test_evaluation_outside_source():
-    phi = sign_hom(3)
+    # a longer or shorter argument, on a dense and on a chain-mode source
+    s3_chain = PermGroup.from_generators(3, symmetric(3).generators, mode="chain")
+    for phi in (sign_hom(3), sign_map(s3_chain)):
+        for arg in (Permutation([1, 0, 2, 3]), Permutation([1, 0])):
+            with pytest.raises(MembershipError):
+                phi(arg)
+    a3 = subgroup_generated(symmetric(3), [Permutation([1, 2, 0])])
     with pytest.raises(MembershipError):
-        phi(Permutation([1, 0, 2, 3]))
+        sign_map(a3)(Permutation([1, 0, 2]))
 
 
 def test_multiplicativity_everywhere():
@@ -185,15 +201,75 @@ def test_kernel_bug_guard_runs_clean():
     assert sign_map(s6).kernel().order == 360
 
 
-def _chain_twin(dense):
+def reference_table(source, target, images):
+    """Every value of the map, by breadth-first closure from the identity.
+
+    This is the evaluation table dense sources were validated with before
+    every map went through the graph chain: phi(x * g) = phi(x) * phi(g) is
+    enforced at every entry, and a clash rejects the generator images.
+    """
+    table = {source.identity: target.identity}
+    frontier = [source.identity]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            fx = table[x]
+            for g, fg in zip(source.generators, images):
+                y, fy = x * g, fx * fg
+                known = table.get(y)
+                if known is None:
+                    table[y] = fy
+                    fresh.append(y)
+                elif known != fy:
+                    raise HomomorphismError(f"generator images are inconsistent at {y!r}")
+        frontier = fresh
+    return table
+
+
+def reference_preimage(degree, table, sub):
+    """The full preimage of sub as the table path built it."""
+    return PermGroup.from_element_set(
+        degree, frozenset(x for x, fx in table.items() if sub.contains(fx))
+    )
+
+
+def cyclic_subgroups(g):
+    subs = {}
+    for y in g.sorted_elements():
+        c = subgroup_generated(g, [y])
+        subs.setdefault(c.elements(), c)
+    return list(subs.values())
+
+
+def assert_matches_reference(phi, table, subs):
+    """Values, kernel and the preimages of subs agree with the table.
+
+    A dense source must also give the table's generators, which reports print;
+    a chain source is compared as a group.
+    """
+    assert {x: phi(x) for x in table} == table
+    degree, trivial = phi.source.degree, PermGroup.trivial(phi.target.degree)
+    pairs = [(phi.kernel(), reference_preimage(degree, table, trivial))]
+    pairs += [(phi.preimage(s), reference_preimage(degree, table, s)) for s in subs]
+    for got, want in pairs:
+        if phi.source.mode == "dense":
+            assert got.mode == "dense"
+            assert got.elements() == want.elements()
+            assert got.generators == want.generators
+        else:
+            assert got == want
+
+
+def _chain_twin(phi):
     """The same map, built on a chain-mode copy of the source."""
-    g = dense.source
+    g = phi.source
     src = PermGroup.from_generators(g.degree, g.generators, mode="chain")
-    return GroupHom(src, dense.target, [dense(x) for x in src.generators])
+    return GroupHom(src, phi.target, [phi(x) for x in src.generators])
 
 
 def test_chain_maps_match_dense_tables(small_corpus):
-    # the graph-group evaluator agrees with the BFS table on every element
+    # the graph-group evaluator agrees with the BFS table on every element,
+    # kernel and preimage, on dense sources and their chain-mode twins
     for name, g in small_corpus.items():
         maps = [sign_map(g)]
         if not g.is_trivial():
@@ -201,15 +277,39 @@ def test_chain_maps_match_dense_tables(small_corpus):
             m_set = oracles.maximal_normals(g.degree, elems)[0]
             m = PermGroup.from_element_set(g.degree, frozenset(map(Permutation, m_set)))
             maps.append(quotient(g, m)[1])
-        for dense in maps:
-            chain = _chain_twin(dense)
-            values = {x: chain(x) for x in g.elements()}
-            assert values == {x: dense(x) for x in g.elements()}, name
+        for phi in maps:
+            table = reference_table(g, phi.target, phi.generator_images)
+            subs = cyclic_subgroups(phi.image())
+            assert_matches_reference(phi, table, subs)
+            assert_matches_reference(_chain_twin(phi), table, subs)
             if g.order <= 60:
-                for x in values:
-                    for y in values:
-                        assert values[x * y] == values[x] * values[y], name
-            assert chain.kernel() == dense.kernel(), name
+                for x in table:
+                    for y in table:
+                        assert table[x * y] == table[x] * table[y], name
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: parse_system((DATA / "s4_s3_prefix.json").read_text()),
+        lambda: parse_system((DATA / "cyclic2_tower.json").read_text()),
+        lambda: build_wreath_tower([("S3", 3)], 2),
+        lambda: build_wreath_tower([("C2", 2)], 3),
+    ],
+    ids=["s4_s3_prefix", "cyclic2_tower", "S3:3", "C2:2"],
+)
+def test_tower_maps_match_dense_tables(build):
+    # the connecting maps, their parse-time kernels, and the preimages that
+    # mark derivation takes, against the table
+    prefix = build()
+    for n, phi in enumerate(prefix.homs, start=1):
+        assert phi.source.mode == "dense"
+        table = reference_table(phi.source, phi.target, phi.generator_images)
+        subs = cyclic_subgroups(phi.target) + list(minimal_normal_subgroups(phi.target))
+        assert_matches_reference(phi, table, subs)
+        want = reference_preimage(phi.source.degree, table, PermGroup.trivial(phi.target.degree))
+        assert prefix.kernels[n].elements() == want.elements()
+        assert prefix.kernels[n].generators == want.generators
 
 
 _SOURCES = [symmetric(n) for n in (3, 4, 5)]
@@ -222,6 +322,7 @@ _TARGETS = [cyclic(2), symmetric(3)]
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_chain_and_dense_validation_agree(data):
+    # both source modes accept exactly the images the table accepts
     i = data.draw(st.integers(0, len(_SOURCES) - 1))
     target = data.draw(st.sampled_from(_TARGETS))
     images = [
@@ -229,10 +330,11 @@ def test_chain_and_dense_validation_agree(data):
         for _ in _SOURCES[i].generators
     ]
     try:
-        dense = GroupHom(_SOURCES[i], target, images)
+        table = reference_table(_SOURCES[i], target, images)
     except HomomorphismError:
-        with pytest.raises(HomomorphismError):
-            GroupHom(_CHAIN_SOURCES[i], target, images)
+        for source in (_SOURCES[i], _CHAIN_SOURCES[i]):
+            with pytest.raises(HomomorphismError):
+                GroupHom(source, target, images)
         return
-    chain = GroupHom(_CHAIN_SOURCES[i], target, images)
-    assert all(chain(x) == dense(x) for x in _SOURCES[i].elements())
+    for source in (_SOURCES[i], _CHAIN_SOURCES[i]):
+        assert_matches_reference(GroupHom(source, target, images), table, [])

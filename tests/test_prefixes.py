@@ -255,17 +255,17 @@ def test_build_wreath_tower_rejections():
 
 
 @pytest.mark.parametrize(
-    "internal,build",
+    "build",
     [
-        ("_build_table", lambda: parse_system(doc(S3_STAGE, S4_STAGE))),
-        ("_build_graph", lambda: build_wreath_tower([("A5", 5)], 2, chain_mode=True)),
+        lambda: parse_system(doc(S3_STAGE, S4_STAGE)),
+        lambda: build_wreath_tower([("A5", 5)], 2, chain_mode=True),
     ],
     ids=["dense", "chain"],
 )
-def test_defect_in_map_construction_is_not_an_input_error(monkeypatch, internal, build):
+def test_defect_in_map_construction_is_not_an_input_error(monkeypatch, build):
     def broken(self):
         raise RuntimeError("internal defect")
 
-    monkeypatch.setattr(GroupHom, internal, broken)
+    monkeypatch.setattr(GroupHom, "_build_graph", broken)
     with pytest.raises(RuntimeError, match="internal defect"):
         build()
