@@ -172,7 +172,7 @@ def _conjugates(g: PermGroup, u: PermGroup) -> list[PermGroup]:
     u's generators.
     """
     index = g.element_index()
-    rows = [index.conj_row(t) for t in g.generators]
+    rows = [index.conj_row(t) for t in index.gens]
     pos = index.pos
     start = frozenset(pos[x] for x in u.elements())
     seen = {start: tuple(pos[x] for x in u.generators)}

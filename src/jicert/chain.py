@@ -195,9 +195,7 @@ class StabilizerChain:
 
         Requires that the chain was built with a base prefix of length >= k.
         """
-        if k > len(self.levels):
-            return []
-        if k == len(self.levels):
+        if k >= len(self.levels):
             return []
         return list(self.levels[k].gens)
 

@@ -8,9 +8,12 @@ element table raise NeedsDenseModeError instead of trying.
 
 A dense group also carries an element index, built on first use and kept on
 the group: its elements sorted by image tuple and each element's position.
-Subgroup sweeps work on sets of positions and close them with lazily built
-multiplication and conjugation rows, so a sweep multiplies permutations once
-per row entry rather than once per closure step.
+Only the generators' multiplication rows are built with permutation
+products, and the inversion map with one inverse per element; every other
+multiplication or conjugation row is composed from them. Dense closure works
+on sets of positions: normal closures, commutator subgroups, conjugacy
+classes, the normal lattice and the subgroup sweeps all run on the index, so
+they multiply no permutations per closure step.
 
 All derived orderings (sorted elements, conjugacy classes, generator
 reduction) are deterministic so that downstream reports are byte-stable.
@@ -18,7 +21,8 @@ reduction) are deterministic so that downstream reports are byte-stable.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from collections import deque
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from .chain import StabilizerChain
@@ -76,35 +80,90 @@ class ElementIndex:
 
     A subgroup is a set of positions. Sorting positions sorts elements by
     image tuple, so sorted position tuples order subgroups as their canonical
-    keys do. A row maps each position i to the position of elems[i] * t
-    (right_row) or of elems[i] ** t (conj_row); each row is built on first
-    use and kept.
+    keys do; the identity sorts first, at position 0.
+
+    The right row of position j maps each position i to the position of
+    elems[i] * elems[j]. Only the generators' rows are built with
+    permutation products. Every other row is composed along the path of its
+    element in a breadth-first spanning tree over positions, one generator
+    row at a time and in C, since row(a * b)[i] = row(b)[row(a)[i]]. A row is
+    built on first use and kept; the intermediate rows of its path are not.
+    The conjugation row of position j maps i to the position of
+    elems[i] ** elems[j]; it is composed from the right row of j and the
+    inversion map, which is built once with one inverse per element.
     """
 
-    __slots__ = ("degree", "elems", "pos", "commuting_closures", "_right", "_conj")
+    __slots__ = (
+        "degree",
+        "elems",
+        "pos",
+        "commuting_closures",
+        "gens",
+        "_gen_rows",
+        "_up",
+        "_via",
+        "_right",
+        "_inv",
+        "_conj",
+    )
 
-    def __init__(self, degree: int, elems: tuple[Permutation, ...]):
+    def __init__(self, degree: int, elems: tuple[Permutation, ...], gens: Sequence[Permutation]):
         self.degree = degree
         self.elems = elems
-        self.pos = {x: i for i, x in enumerate(elems)}
+        self.pos = pos = {x: i for i, x in enumerate(elems)}
         # canonical key of a subgroup -> its normal closure if it is non-normal
         # with pairwise-commuting conjugates, else None; filled by the certifier
         self.commuting_closures: dict[tuple, PermGroup | None] = {}
-        self._right: dict[int, tuple[int, ...]] = {}
-        self._conj: dict[Permutation, tuple[int, ...]] = {}
+        # positions of the generators
+        self.gens = tuple(pos[t] for t in gens)
+        self._gen_rows = [tuple(pos[x * t] for x in elems) for t in gens]
+        identity_row = tuple(range(len(elems)))
+        self._right: dict[int, tuple[int, ...]] = {0: identity_row}
+        self._right.update(zip(self.gens, self._gen_rows))
+        self._inv: tuple[int, ...] | None = None
+        self._conj: dict[int, tuple[int, ...]] = {0: identity_row}
+        # elems[i] = elems[_up[i]] * gens[_via[i]] on the spanning tree
+        self._up = up = [-1] * len(elems)
+        self._via = via = [-1] * len(elems)
+        frontier = [0]
+        reached = 1
+        while frontier:
+            fresh = []
+            for i in frontier:
+                for k, row in enumerate(self._gen_rows):
+                    j = row[i]
+                    if j and up[j] < 0:
+                        up[j], via[j] = i, k
+                        fresh.append(j)
+            reached += len(fresh)
+            frontier = fresh
+        if reached != len(elems):
+            raise KernelBugError("group generators do not reach every element")
 
     def right_row(self, j: int) -> tuple[int, ...]:
         row = self._right.get(j)
         if row is None:
-            t, pos = self.elems[j], self.pos
-            row = self._right[j] = tuple(pos[x * t] for x in self.elems)
+            path = []
+            k = j
+            while k not in self._right:
+                path.append(self._via[k])
+                k = self._up[k]
+            row = self._right[k]
+            for g in reversed(path):
+                row = itemgetter(*row)(self._gen_rows[g])
+            self._right[j] = row
         return row
 
-    def conj_row(self, t: Permutation) -> tuple[int, ...]:
-        row = self._conj.get(t)
+    def conj_row(self, j: int) -> tuple[int, ...]:
+        row = self._conj.get(j)
         if row is None:
-            ti, pos = t.inverse(), self.pos
-            row = self._conj[t] = tuple(pos[ti * x * t] for x in self.elems)
+            if self._inv is None:
+                pos = self.pos
+                self._inv = tuple(pos[x.inverse()] for x in self.elems)
+            right, inv = self.right_row(j), self._inv
+            # x ** t = (x^-1 * t)^-1 * t
+            row = itemgetter(*itemgetter(*itemgetter(*inv)(right))(inv))(right)
+            self._conj[j] = row
         return row
 
     def extend(self, h: frozenset[int], gens: Sequence[int], j: int) -> frozenset[int]:
@@ -128,6 +187,34 @@ class ElementIndex:
                         fresh.append(k)
             frontier = fresh
         return frozenset(have)
+
+    def normal_closure(
+        self,
+        seeds: Iterable[int],
+        under: Sequence[int],
+        h: frozenset[int] = frozenset([0]),
+        gens: Sequence[int] = (),
+    ) -> tuple[frozenset[int], tuple[int, ...]]:
+        """Positions of the normal closure of N and the seeds in <under>, and
+        its generators.
+
+        h holds the positions of a subgroup N = <gens> that the elements at
+        the positions under normalize. Seeds are taken first in, first out;
+        one outside the closure so far is kept and its conjugates under each
+        of under are queued. The generators returned are gens followed by the
+        kept seeds.
+        """
+        conj = [self.conj_row(t) for t in under]
+        kept = list(gens)
+        pending = deque(seeds)
+        while pending:
+            s = pending.popleft()
+            if s in h:
+                continue
+            h = self.extend(h, kept, s)
+            kept.append(s)
+            pending.extend(row[s] for row in conj)
+        return h, tuple(kept)
 
     def subgroup(self, positions: Iterable[int], gens: Sequence[int]) -> PermGroup:
         """The dense group on a closed set of positions, generated by gens."""
@@ -257,7 +344,7 @@ class PermGroup:
     def element_index(self) -> ElementIndex:
         """The element index of a dense group, built on first use."""
         if self._index is None:
-            self._index = ElementIndex(self.degree, self.sorted_elements())
+            self._index = ElementIndex(self.degree, self.sorted_elements(), self.generators)
         return self._index
 
     def contains(self, p: Permutation) -> bool:
@@ -368,19 +455,7 @@ def normal_closure(parent: PermGroup, sub) -> PermGroup:
         if not parent.contains(g):
             raise MembershipError("normal closure seed outside the parent group")
     if parent.mode == "dense":
-        have: set[Permutation] = {parent.identity}
-        kept: list[Permutation] = []
-        pending = list(gens)
-        while pending:
-            s = pending.pop(0)
-            if s in have:
-                continue
-            kept.append(s)
-            _extend_closure(parent.degree, have, kept, s)
-            pending.extend(s ** g for g in parent.generators)
-        return PermGroup(
-            degree=parent.degree, mode="dense", gens=tuple(kept), elements=frozenset(have)
-        )
+        return _dense_closure(parent, gens, parent.generators)
     kept = []
     chain = StabilizerChain(parent.degree, ())
     pending = list(gens)
@@ -392,6 +467,16 @@ def normal_closure(parent: PermGroup, sub) -> PermGroup:
         chain = StabilizerChain(parent.degree, kept)
         pending.extend(s ** g for g in parent.generators)
     return PermGroup(degree=parent.degree, mode="chain", gens=tuple(kept), chain=chain)
+
+
+def _dense_closure(
+    parent: PermGroup, seeds: Sequence[Permutation], under: Sequence[Permutation]
+) -> PermGroup:
+    """The normal closure of the seeds in <under>, on parent's element index."""
+    index = parent.element_index()
+    pos = index.pos
+    have, kept = index.normal_closure([pos[s] for s in seeds], [pos[t] for t in under])
+    return index.subgroup(have, kept)
 
 
 def join(parent: PermGroup, a: PermGroup, b: PermGroup) -> PermGroup:
@@ -410,13 +495,19 @@ def product_order(a: PermGroup, b: PermGroup) -> int:
 
 
 def commutator_subgroup(parent: PermGroup, a: PermGroup, b: PermGroup) -> PermGroup:
-    """[A, B]: the normal closure in <A, B> of generator commutators."""
+    """[A, B]: the normal closure in <A, B> of generator commutators.
+
+    Under a dense parent the closure runs on parent's element index,
+    conjugating by the generators of <A, B>, so <A, B> is never built.
+    """
     for sub in (a, b):
         if not sub.is_subgroup_of(parent):
             raise MembershipError("commutator arguments must be subgroups of parent")
-    envelope = subgroup_generated(parent, a.generators + b.generators)
+    envelope = _normalize_gens(parent.degree, a.generators + b.generators)
     seeds = [comm(x, y) for x in a.generators for y in b.generators]
-    return normal_closure(envelope, seeds)
+    if parent.mode == "dense":
+        return _dense_closure(parent, _normalize_gens(parent.degree, seeds), envelope)
+    return normal_closure(subgroup_generated(parent, envelope), seeds)
 
 
 def derived_subgroup(g: PermGroup) -> PermGroup:
@@ -505,23 +596,27 @@ def conjugacy_classes(g: PermGroup) -> tuple[tuple[Permutation, frozenset[Permut
         raise NeedsDenseModeError("conjugacy classes need the element table")
     if g._classes is not None:
         return g._classes
-    gens = g.generators
-    remaining = set(g.elements())
+    index = g.element_index()
+    rows = [index.conj_row(t) for t in index.gens]
+    elems = index.elems
+    seen = bytearray(len(elems))
     classes = []
-    for x in g.sorted_elements():
-        if x not in remaining:
+    for i in range(len(elems)):
+        if seen[i]:
             continue
-        orbit = {x}
-        frontier = [x]
+        orbit = {i}
+        frontier = [i]
         while frontier:
             y = frontier.pop()
-            for s in gens:
-                z = y ** s
+            for row in rows:
+                z = row[y]
                 if z not in orbit:
                     orbit.add(z)
                     frontier.append(z)
-        remaining -= orbit
-        classes.append((min(orbit), frozenset(orbit)))
+        for k in orbit:
+            seen[k] = 1
+        # every smaller position lies in an earlier class, so i is the least member
+        classes.append((elems[i], frozenset(elems[k] for k in orbit)))
     classes.sort(key=lambda c: (len(c[1]), c[0].images))
     g._classes = tuple(classes)
     return g._classes

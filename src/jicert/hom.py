@@ -36,7 +36,7 @@ class GroupHom:
     """A verified homomorphism given by images of the source generators."""
 
     __slots__ = ("source", "target", "generator_images", "_graph_gens", "_graph_src",
-                 "_graph_tgt")
+                 "_graph_tgt", "_image")
 
     def __init__(
         self,
@@ -58,6 +58,7 @@ class GroupHom:
         self.target = target
         self.generator_images = images
         self._graph_tgt = None
+        self._image = None
         self._build_graph()
 
     # -- validation ---------------------------------------------------------
@@ -96,14 +97,15 @@ class GroupHom:
         return Permutation(tuple(p - ds for p in lifted[ds:]))
 
     def image(self, sub: PermGroup | None = None) -> PermGroup:
-        """Image of sub (default: the whole source) as a subgroup of target."""
+        """Image of sub (default: the whole source, closed once and kept) as a
+        subgroup of target."""
         if sub is None:
-            images = self.generator_images
-        else:
-            if not sub.is_subgroup_of(self.source):
-                raise MembershipError("image argument must be a subgroup of the source")
-            images = tuple(self(g) for g in sub.generators)
-        return subgroup_generated(self.target, images)
+            if self._image is None:
+                self._image = subgroup_generated(self.target, self.generator_images)
+            return self._image
+        if not sub.is_subgroup_of(self.source):
+            raise MembershipError("image argument must be a subgroup of the source")
+        return subgroup_generated(self.target, tuple(self(g) for g in sub.generators))
 
     def is_surjective(self) -> bool:
         return self.image().order == self.target.order

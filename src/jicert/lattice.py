@@ -13,6 +13,7 @@ from typing import NamedTuple, Optional
 
 from .errors import KernelBugError, NotNormalError
 from .group import (
+    ElementIndex,
     PermGroup,
     center,
     centralizer,
@@ -50,23 +51,29 @@ def normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
 
     A subgroup is normal iff it is a union of conjugacy classes, so the lattice
     is generated by closing class representatives into the subgroups already
-    found: the generating set of each candidate is a union of full classes,
-    hence conjugation-stable, hence the closure is normal.
+    found: the normal closure of a found N and a representative is a new
+    candidate. The search runs on g's element index: subgroups are position
+    sets, each closure grows N's set by the representative and its
+    conjugates, and each found subgroup keeps the generators of its first
+    discovery, N's generators followed by the kept seeds. Group objects are
+    built once, at the end.
     """
     classes = conjugacy_classes(g)
-    trivial = PermGroup.trivial(g.degree)
-    found: dict[frozenset[Permutation], PermGroup] = {trivial.elements(): trivial}
+    index = g.element_index()
+    reps = [index.pos[rep] for rep, _cls in classes]
+    trivial = frozenset([0])
+    found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
     frontier = [trivial]
     while frontier:
         n = frontier.pop()
-        for rep, _cls in classes:
-            if rep in n.elements():
+        for r in reps:
+            if r in n:
                 continue
-            m = normal_closure(g, n.generators + (rep,))
-            if m.elements() not in found:
-                found[m.elements()] = m
+            m, kept = index.normal_closure([r], index.gens, n, found[n])
+            if m not in found:
+                found[m] = kept
                 frontier.append(m)
-    return _sorted_groups(found.values())
+    return _sorted_groups(index.subgroup(m, kept) for m, kept in found.items())
 
 
 def minimal_normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
@@ -386,21 +393,22 @@ def all_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
     found subgroup H by all such x outside it reaches everything. The sweep
     runs on g's element index: a subgroup is a set of positions, <H, x> is
     closed from H's set with right-multiplication rows, and sets are deduped
-    before any group object is built. Found subgroups are extended last in,
+    before any group object is built. Only the least generator x of each
+    cyclic subgroup is offered. Found subgroups are extended last in,
     first out, with x in sorted order, and each keeps the generators
     H.generators + (x,) of its first discovery, so the output (generator
     lists included) does not depend on how the closures are computed.
     Exponential in general; callers gate on the group order.
     """
     index = g.element_index()
-    ppow = [j for j, x in enumerate(index.elems) if _is_prime_power(x.order())[0]]
-    trivial = frozenset([index.pos[g.identity]])
+    trivial = frozenset([0])
     found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
     frontier = [trivial]
+    cyclic = _cyclic_generators(index)
     while frontier:
         h = frontier.pop()
         gens = found[h]
-        for j in ppow:
+        for j in cyclic:
             if j in h:
                 continue
             m = index.extend(h, gens, j)
@@ -408,3 +416,29 @@ def all_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
                 found[m] = gens + (j,)
                 frontier.append(m)
     return _sorted_groups(index.subgroup(m, gens) for m, gens in found.items())
+
+
+def _cyclic_generators(index: ElementIndex) -> list[int]:
+    """The least position generating each cyclic subgroup of prime power
+    order > 1, ascending.
+
+    <H, y> = <H, x> whenever <y> = <x>, and the least generator comes first
+    in every extension loop, so offering only it changes no first discovery.
+    """
+    out: list[int] = []
+    skip: set[int] = set()
+    for j, x in enumerate(index.elems):
+        if j in skip:
+            continue
+        n = x.order()
+        is_pp, p = _is_prime_power(n)
+        if not is_pp:
+            continue
+        out.append(j)
+        # x^k generates <x> exactly when p does not divide k
+        row, k = index.right_row(j), 0
+        for e in range(1, n):
+            k = row[k]
+            if e % p:
+                skip.add(k)
+    return out

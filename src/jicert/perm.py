@@ -84,7 +84,7 @@ class Permutation:
         return all(i == j for i, j in enumerate(self.images))
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*map(len, self.cycles()))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, sorted by that point."""

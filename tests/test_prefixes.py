@@ -269,3 +269,25 @@ def test_defect_in_map_construction_is_not_an_input_error(monkeypatch, build):
     monkeypatch.setattr(GroupHom, "_build_graph", broken)
     with pytest.raises(RuntimeError, match="internal defect"):
         build()
+
+
+def test_parsing_closes_each_map_image_once(monkeypatch):
+    import jicert.hom
+
+    text = serialize_system(build_wreath_tower([("C2", 2)], 3))
+    calls = []
+    original = jicert.hom.subgroup_generated
+
+    def counting(parent, elems):
+        elems = tuple(elems)
+        calls.append((parent, elems))
+        return original(parent, elems)
+
+    monkeypatch.setattr(jicert.hom, "subgroup_generated", counting)
+    prefix = parse_system(text)
+    assert len(prefix.homs) == 2
+    for hom in prefix.homs:
+        closures = [c for c in calls if c[0] is hom.target and c[1] == hom.generator_images]
+        assert len(closures) == 1
+        assert hom.image() is hom.image()
+    assert len(calls) == 4  # each map's image once, each dense kernel once
