@@ -30,6 +30,7 @@ from .errors import (
     DerivationError,
     HomomorphismError,
     JicertError,
+    KernelBugError,
     NeedsDenseModeError,
     NotNormalError,
 )
@@ -100,7 +101,6 @@ class StageVerdict:
     order: int
     degree: int
     checks: dict[str, CheckResult] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -149,6 +149,8 @@ def _witness_subgroup(g: PermGroup, blob: object) -> Optional[PermGroup]:
         return None
     try:
         sub = subgroup_generated(g, [Permutation(row) for row in rows])
+    except KernelBugError:
+        raise
     except (JicertError, ValueError):
         return None
     if sub.order != blob.get("order", sub.order):
@@ -685,7 +687,6 @@ def _merge_or_bound(
             target.checks[name] = CheckResult(BOUNDED, note=note)
         return
     target.checks.update(src.checks)
-    target.notes.extend(src.notes)
 
 
 def _mark_na(sv: StageVerdict, names: Sequence[str], note: str) -> None:

@@ -5,6 +5,11 @@ at the boundary. The chain is built incrementally and every strong generator
 is verified by sifting all of its Schreier generators, so the result is exact
 with no randomization anywhere.
 
+A chain grows in place: add inserts one more generator and checks that the
+grown chain contains it. elements lists the group once, each element one
+product of transversal elements, which is how dense groups get their element
+sets.
+
 A base prefix can be forced: levels for the prefix points are created up
 front, in the given order, before any generator is inserted. The pointwise
 stabilizer of the prefix points is then read off a single level. Homomorphism
@@ -72,20 +77,19 @@ class StabilizerChain:
                 raise ValueError(f"bad base prefix point {p}")
             seen_prefix.add(p)
             self._new_level(p)
-        gens = []
         for g in generators:
-            t = tuple(g.images) if isinstance(g, Permutation) else tuple(g)
-            if len(t) != degree:
-                raise ValueError(f"generator degree {len(t)} != {degree}")
-            if t != self._identity and t not in gens:
-                gens.append(t)
-        for t in gens:
-            self._insert(t)
-        for t in gens:
-            if not self.contains_tuple(t):
-                raise KernelBugError("chain lost a generator")
+            self.add(g)
 
     # -- construction ------------------------------------------------------
+
+    def add(self, g: Permutation | Sequence[int]) -> None:
+        """Extend the chain in place to the group generated by it and g."""
+        t = tuple(g.images) if isinstance(g, Permutation) else tuple(g)
+        if len(t) != self.degree:
+            raise ValueError(f"generator degree {len(t)} != {self.degree}")
+        self._insert(t)
+        if not self.contains_tuple(t):
+            raise KernelBugError("chain lost a generator")
 
     def _new_level(self, base: int) -> None:
         self.levels.append(_Level(base, self._identity))
@@ -177,6 +181,19 @@ class StabilizerChain:
 
     def order(self) -> int:
         return prod(len(level.tr) for level in self.levels) if self.levels else 1
+
+    def elements(self) -> list[tuple]:
+        """Every group element once, as an image tuple.
+
+        Each element is u_0 * u_1 * ... * u_k with u_i from the transversal of
+        level i, and each product is formed once: the partial products of the
+        first i levels are extended by every transversal element of level i.
+        """
+        products = [self._identity]
+        for level in self.levels:
+            reps = [u for p, u in level.tr.items() if p != level.base]
+            products += [_mul(x, u) for x in products for u in reps]
+        return products
 
     def base(self) -> list[int]:
         return [level.base for level in self.levels]

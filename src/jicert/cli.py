@@ -2,7 +2,8 @@
 
 Exit codes: 0 all requested checks pass, 1 some check fails, 2 the input
 could not be used (bad file, bad format, wrong mode), 3 every non-passing
-check is merely bounded, so the run is inconclusive rather than failed.
+check is merely bounded, so the run is inconclusive rather than failed,
+4 an internal cross-check failed: a defect in jicert, not in the input.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .certifier import (
     certify_system,
 )
 from .classdata import SchurTable, class_from_names
-from .errors import InputFormatError, JicertError
+from .errors import InputFormatError, JicertError, KernelBugError
 from .group import DEFAULT_DENSE_BOUND
 from .lattice import (
     chief_series,
@@ -65,9 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_SUBGROUP_BOUND,
         help="largest group order swept for witness subgroups",
-    )
-    c.add_argument(
-        "--seed", type=int, default=0, help="no effect (map validation is exact); echoed in reports"
     )
     c.add_argument(
         "--count-class",
@@ -138,7 +136,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             "strengthened": args.strengthened,
             "subgroup_bound": args.subgroup_bound,
             "dense_bound": args.dense_bound,
-            "seed": args.seed,
             "count_class": names,
         },
     )
@@ -214,6 +211,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except KernelBugError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except JicertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,9 +12,10 @@ class DegreeMismatchError(JicertError):
 
 
 class DenseBoundExceededError(JicertError):
-    """Element enumeration grew past the dense-mode bound.
+    """A dense group was asked for whose order exceeds the dense-mode bound.
 
-    Signals the caller to rebuild the group in chain mode.
+    Raised on the order of the group's stabilizer chain, before any element
+    is enumerated. Signals the caller to rebuild the group in chain mode.
     """
 
     def __init__(self, bound: int):

@@ -1,10 +1,14 @@
 """Finite permutation groups in two computation modes.
 
-Dense mode materializes the full element set by breadth-first closure and is
+Every group built from generators starts as a stabilizer chain, which gives
+its order before any element is listed. Dense mode then materializes the full
+element set, enumerated from the chain with one product per element, and is
 required by anything that scans elements (centralizers, conjugacy classes,
-normal-subgroup lattices). Chain mode stores a stabilizer chain only and
+normal-subgroup lattices). Chain mode keeps the stabilizer chain only and
 scales to groups far past the dense bound; operations that would need the
-element table raise NeedsDenseModeError instead of trying.
+element table raise NeedsDenseModeError instead of trying. A dense group
+given by its element set alone gets greedy generators, each tested for
+membership on a chain grown one generator at a time.
 
 A dense group also carries an element index, built on first use and kept on
 the group: its elements sorted by image tuple and each element's position.
@@ -37,42 +41,6 @@ from .errors import (
 from .perm import Permutation, comm
 
 DEFAULT_DENSE_BOUND = 2_000_000
-
-
-def _close(degree: int, gens: Sequence[Permutation], bound: int) -> frozenset[Permutation]:
-    idt = Permutation.identity(degree)
-    elements = {idt}
-    frontier = [idt]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in elements:
-                    if len(elements) >= bound:
-                        raise DenseBoundExceededError(bound)
-                    elements.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return frozenset(elements)
-
-
-def _extend_closure(
-    degree: int, have: set[Permutation], gens: list[Permutation], new_gen: Permutation
-) -> None:
-    """Grow a closed set in place after appending new_gen to gens."""
-    frontier = [x * new_gen for x in list(have)]
-    frontier = [y for y in frontier if y not in have]
-    have.update(frontier)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in have:
-                    have.add(y)
-                    fresh.append(y)
-        frontier = fresh
 
 
 class ElementIndex:
@@ -272,29 +240,16 @@ class PermGroup:
         dense_bound: int = DEFAULT_DENSE_BOUND,
     ) -> PermGroup:
         gens = _normalize_gens(degree, generators)
-        if mode == "auto":
-            chain = StabilizerChain(degree, gens)
-            if chain.order() <= dense_bound:
-                return PermGroup(
-                    degree=degree,
-                    mode="dense",
-                    gens=gens,
-                    elements=_close(degree, gens, dense_bound + 1),
-                )
-            g = PermGroup(degree=degree, mode="chain", gens=gens, chain=chain)
-            return g
-        if mode == "dense":
-            return PermGroup(
-                degree=degree,
-                mode="dense",
-                gens=gens,
-                elements=_close(degree, gens, dense_bound),
-            )
-        if mode == "chain":
-            return PermGroup(
-                degree=degree, mode="chain", gens=gens, chain=StabilizerChain(degree, gens)
-            )
-        raise ValueError(f"unknown mode {mode!r}")
+        if mode not in ("auto", "dense", "chain"):
+            raise ValueError(f"unknown mode {mode!r}")
+        chain = StabilizerChain(degree, gens)
+        too_big = chain.order() > dense_bound
+        if mode == "chain" or (mode == "auto" and too_big):
+            return PermGroup(degree=degree, mode="chain", gens=gens, chain=chain)
+        if too_big:
+            raise DenseBoundExceededError(dense_bound)
+        elements = frozenset(map(Permutation._raw, chain.elements()))
+        return PermGroup(degree=degree, mode="dense", gens=gens, elements=elements)
 
     @staticmethod
     def trivial(degree: int) -> PermGroup:
@@ -411,14 +366,14 @@ def _elements_to_generators(degree: int, elements: frozenset[Permutation]) -> tu
     if order == 1:
         return ()
     gens: list[Permutation] = []
-    have: set[Permutation] = {Permutation.identity(degree)}
+    chain = StabilizerChain(degree, ())
     for x in sorted(elements):
-        if len(have) == order:
+        if chain.order() == order:
             break
-        if x in have:
+        if chain.contains(x):
             continue
         gens.append(x)
-        _extend_closure(degree, have, gens, x)
+        chain.add(x)
     return tuple(gens)
 
 
@@ -428,18 +383,9 @@ def subgroup_generated(parent: PermGroup, elems: Iterable[Permutation]) -> PermG
     for g in gens:
         if not parent.contains(g):
             raise MembershipError(f"{g!r} is not in the parent group")
-    if parent.mode == "dense":
-        return PermGroup(
-            degree=parent.degree,
-            mode="dense",
-            gens=gens,
-            elements=_close(parent.degree, gens, parent.order),
-        )
-    return PermGroup(
-        degree=parent.degree,
-        mode="chain",
-        gens=gens,
-        chain=StabilizerChain(parent.degree, gens),
+    # no subgroup outgrows its parent, whatever dense bound the parent was built under
+    return PermGroup.from_generators(
+        parent.degree, gens, mode=parent.mode, dense_bound=parent.order
     )
 
 
@@ -458,13 +404,13 @@ def normal_closure(parent: PermGroup, sub) -> PermGroup:
         return _dense_closure(parent, gens, parent.generators)
     kept = []
     chain = StabilizerChain(parent.degree, ())
-    pending = list(gens)
+    pending = deque(gens)
     while pending:
-        s = pending.pop(0)
+        s = pending.popleft()
         if chain.contains(s):
             continue
         kept.append(s)
-        chain = StabilizerChain(parent.degree, kept)
+        chain.add(s)
         pending.extend(s ** g for g in parent.generators)
     return PermGroup(degree=parent.degree, mode="chain", gens=tuple(kept), chain=chain)
 
@@ -630,8 +576,7 @@ def direct_product(a: PermGroup, b: PermGroup, dense_bound: int = DEFAULT_DENSE_
         gens.append(Permutation(tuple(g.images) + tuple(range(da, da + db))))
     for g in b.generators:
         gens.append(Permutation(tuple(range(da)) + tuple(da + i for i in g.images)))
-    mode = "dense" if a.order * b.order <= dense_bound else "chain"
-    prod = PermGroup.from_generators(da + db, gens, mode=mode, dense_bound=dense_bound)
+    prod = PermGroup.from_generators(da + db, gens, mode="auto", dense_bound=dense_bound)
     if prod.order != a.order * b.order:
         raise KernelBugError("direct product order mismatch")
     return prod
@@ -655,8 +600,7 @@ def wreath_product(base: PermGroup, top: PermGroup, dense_bound: int = DEFAULT_D
     for s in top.generators:
         gens.append(Permutation([s.images[t] * db + o for t in range(dt) for o in range(db)]))
     projected = base.order ** dt * top.order
-    mode = "dense" if projected <= dense_bound else "chain"
-    w = PermGroup.from_generators(degree, gens, mode=mode, dense_bound=dense_bound)
+    w = PermGroup.from_generators(degree, gens, mode="auto", dense_bound=dense_bound)
     if w.order != projected:
         raise KernelBugError("wreath product order mismatch")
     return w

@@ -17,6 +17,7 @@ the chain; under a chain source they keep the chain's generators.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Sequence
 
 from .chain import StabilizerChain
@@ -28,7 +29,7 @@ from .errors import (
     NeedsDenseModeError,
     NotNormalError,
 )
-from .group import DEFAULT_DENSE_BOUND, PermGroup, subgroup_generated
+from .group import DEFAULT_DENSE_BOUND, PermGroup, _normalize_gens, subgroup_generated
 from .perm import Permutation
 
 
@@ -72,7 +73,7 @@ class GroupHom:
         src_chain = StabilizerChain(ds + dt, gens, base_prefix=range(ds))
         for t in src_chain.gens_fixing_prefix(ds):
             if t != tuple(range(ds + dt)):
-                witness = Permutation(tuple(x - ds for x in t[ds:]))
+                witness = Permutation._raw(tuple(x - ds for x in t[ds:]))
                 raise HomomorphismError(
                     f"generator images satisfy no homomorphism; "
                     f"a trivial source relation maps to {witness!r}"
@@ -94,7 +95,7 @@ class GroupHom:
         if x.degree != ds:
             raise MembershipError(f"degree {x.degree} argument to a map on degree {ds}")
         lifted = self._graph_src.lift_points({i: x.images[i] for i in range(ds)}, ds)
-        return Permutation(tuple(p - ds for p in lifted[ds:]))
+        return Permutation._raw(tuple(p - ds for p in lifted[ds:]))
 
     def image(self, sub: PermGroup | None = None) -> PermGroup:
         """Image of sub (default: the whole source, closed once and kept) as a
@@ -112,7 +113,7 @@ class GroupHom:
 
     def _kernel_gens(self) -> list[Permutation]:
         ds, dt = self.source.degree, self.target.degree
-        return [Permutation(t[:ds]) for t in self._target_first().gens_fixing_prefix(dt)]
+        return [Permutation._raw(t[:ds]) for t in self._target_first().gens_fixing_prefix(dt)]
 
     def _source_subgroup(
         self, gens: list[Permutation], mode: str, dense_bound: int = DEFAULT_DENSE_BOUND
@@ -140,7 +141,7 @@ class GroupHom:
         gens = self._kernel_gens()
         for k in sub.generators:
             lifted = chain.lift_points({ds + j: ds + k.images[j] for j in range(dt)}, dt)
-            gens.append(Permutation(lifted[:ds]))
+            gens.append(Permutation._raw(lifted[:ds]))
         return self._source_subgroup(gens, "chain")
 
     def compose(self, inner: GroupHom) -> GroupHom:
@@ -162,6 +163,11 @@ def quotient(
     labeled 0..index-1 in lexicographic order of their least member, so the
     construction is independent of traversal order. The identity coset is
     always point 0.
+
+    The breadth-first search over cosets records which coset and generator
+    first reached each coset. Each element of G/N, the image of a coset's
+    representative x * gen, is then read off that tree with one product,
+    lam(x * gen) = lam(x) * lam(gen), so the regular action is never closed.
     """
     if g.mode != "dense":
         raise NeedsDenseModeError("quotients enumerate cosets of the element table")
@@ -173,29 +179,40 @@ def quotient(
     n_elems = n.elements()
     elem_to_coset: dict[Permutation, int] = {}
     coset_mins: list[Permutation] = []
-    queue = [g.identity]
+    # coset c was first reached from its representative x as x * generators[via[c]],
+    # where x represents coset up[c]
+    up: list[int] = []
+    via: list[int] = []
+    queue = deque([(g.identity, -1, -1)])
     while queue:
-        x = queue.pop(0)
+        x, parent, step = queue.popleft()
         if x in elem_to_coset:
             continue
         coset = [m * x for m in n_elems]
         idx = len(coset_mins)
         coset_mins.append(min(coset))
+        up.append(parent)
+        via.append(step)
         for y in coset:
             elem_to_coset[y] = idx
-        for gen in g.generators:
+        for k, gen in enumerate(g.generators):
             y = x * gen
             if y not in elem_to_coset:
-                queue.append(y)
+                queue.append((y, idx, k))
     order = sorted(range(len(coset_mins)), key=lambda i: coset_mins[i].images)
     relabel = {old: new for new, old in enumerate(order)}
     reps = [coset_mins[old] for old in order]
     gen_images = []
     for gen in g.generators:
         gen_images.append(
-            Permutation([relabel[elem_to_coset[gen * reps[i]]] for i in range(index)])
+            Permutation._raw(tuple(relabel[elem_to_coset[gen * reps[i]]] for i in range(index)))
         )
-    q = PermGroup.from_generators(index, gen_images, mode="dense", dense_bound=dense_bound)
+    lam = [Permutation.identity(index)]
+    for c in range(1, len(up)):
+        lam.append(lam[up[c]] * gen_images[via[c]])
+    q = PermGroup(
+        degree=index, mode="dense", gens=_normalize_gens(index, gen_images), elements=frozenset(lam)
+    )
     if q.order != index:
         raise KernelBugError("regular coset action has the wrong order")
     proj = GroupHom(g, q, gen_images)

@@ -37,6 +37,13 @@ class Permutation:
         return len(self.images)
 
     @staticmethod
+    def _raw(images: tuple[int, ...]) -> Permutation:
+        """Wrap an image tuple that is already a permutation, unchecked."""
+        p = Permutation.__new__(Permutation)
+        object.__setattr__(p, "images", images)
+        return p
+
+    @staticmethod
     def identity(degree: int) -> Permutation:
         return Permutation(range(degree))
 
@@ -58,18 +65,13 @@ class Permutation:
             raise DegreeMismatchError(
                 f"cannot compose degree {len(self.images)} with degree {len(other.images)}"
             )
-        s = self.images
-        p = Permutation.__new__(Permutation)
-        object.__setattr__(p, "images", tuple(s[j] for j in other.images))
-        return p
+        return Permutation._raw(tuple(map(self.images.__getitem__, other.images)))
 
     def inverse(self) -> Permutation:
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        p = Permutation.__new__(Permutation)
-        object.__setattr__(p, "images", tuple(inv))
-        return p
+        return Permutation._raw(tuple(inv))
 
     def __pow__(self, n: int | Permutation) -> Permutation:
         if isinstance(n, Permutation):

@@ -181,6 +181,8 @@ def _mark_subgroup(
 ) -> PermGroup:
     try:
         sub = subgroup_generated(parent, gens)
+    except KernelBugError:
+        raise
     except (JicertError, ValueError) as exc:
         raise InputFormatError(f"{where}: {exc}") from None
     if not sub.is_normal_in(parent):

@@ -53,7 +53,6 @@ def make_report(
                 "order": sv.order,
                 "degree": sv.degree,
                 "checks": checks,
-                "notes": list(sv.notes),
             }
         )
 
@@ -122,8 +121,6 @@ def _render_text(report: dict) -> str:
                 lines.append(
                     "    witness: " + json.dumps(entry["witness"], sort_keys=True)
                 )
-        for note in st["notes"]:
-            lines.append(f"  note: {note}")
     counts = report.get("class_factor_counts")
     if counts:
         tag = "strictly increasing" if counts["strictly_increasing"] else "not increasing"

@@ -225,7 +225,7 @@ def test_criterion_07_derived_marks_certify():
 
 
 def test_criterion_08_reports_byte_identical(tmp_path, capsys):
-    """Same fixture, same seed, same bytes."""
+    """Same fixture, same options, same bytes."""
     runs = [
         (GOLDEN_CHECK_ARGS, "golden"),
         (["check", str(DATA / "cyclic2_tower.json"), "--wilson"], "tower"),
@@ -233,8 +233,8 @@ def test_criterion_08_reports_byte_identical(tmp_path, capsys):
     for args, tag in runs:
         first = tmp_path / f"{tag}1.json"
         second = tmp_path / f"{tag}2.json"
-        code1 = cli_main(args + ["--seed", "11", "--json", str(first)])
-        code2 = cli_main(args + ["--seed", "11", "--json", str(second)])
+        code1 = cli_main(args + ["--json", str(first)])
+        code2 = cli_main(args + ["--json", str(second)])
         capsys.readouterr()
         assert code1 == code2, tag
         assert first.read_bytes() == second.read_bytes(), tag

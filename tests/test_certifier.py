@@ -6,6 +6,7 @@ import pytest
 from jicert import (
     CertifyOptions,
     DerivationError,
+    KernelBugError,
     NotNormalError,
     PermGroup,
     Permutation,
@@ -98,6 +99,18 @@ def test_wilson_ii_fails_on_s4_with_trivial_kernel():
     # tampering with the witness breaks revalidation
     bad = dict(res.witness, subgroup={"order": 2, "generators": [[1, 0, 2, 3]]})
     assert not revalidate_witness(CHECK_WILSON_II, bad, g=s4, k=triv)
+
+
+def test_revalidation_does_not_reject_on_an_internal_defect(monkeypatch):
+    s4, _, _, triv = s4_subgroups()
+    witness = check_wilson_stage(s4, triv).checks[CHECK_WILSON_II].witness
+
+    def defect(*args, **kwargs):
+        raise KernelBugError("cross-check failed")
+
+    monkeypatch.setattr("jicert.certifier.subgroup_generated", defect)
+    with pytest.raises(KernelBugError):
+        revalidate_witness(CHECK_WILSON_II, witness, g=s4, k=triv)
 
 
 def test_wilson_i_fail_witness():

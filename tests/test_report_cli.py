@@ -7,6 +7,7 @@ import pytest
 from jicert import (
     CertifyOptions,
     InputFormatError,
+    KernelBugError,
     PermGroup,
     SchurTable,
     build_wreath_tower,
@@ -70,7 +71,6 @@ def build_golden_report() -> dict:
             "strengthened": True,
             "subgroup_bound": 2000,
             "dense_bound": 2_000_000,
-            "seed": 0,
             "count_class": ["C2", "C3"],
         },
     )
@@ -161,10 +161,10 @@ def test_check_text_rendering(capsys):
     assert "completeness: complete" in lines
 
 
-def test_check_same_seed_runs_identical(tmp_path, capsys):
+def test_check_same_args_runs_identical(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(CHECK_ARGS + ["--seed", "5", "--json", str(a)]) == 0
-    assert main(CHECK_ARGS + ["--seed", "5", "--json", str(b)]) == 0
+    assert main(CHECK_ARGS + ["--json", str(a)]) == 0
+    assert main(CHECK_ARGS + ["--json", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
 
@@ -319,16 +319,16 @@ def test_check_wilson_on_chain_stage_is_bounded(chain_tower, tmp_path, capsys):
 
 @pytest.mark.parametrize("prefix_path", [PREFIX_PATH, None])
 def test_check_seed_has_no_effect(prefix_path, chain_tower, tmp_path, capsys):
+    """Map validation is exact, so check takes no seed and reports none."""
     path = str(prefix_path or chain_tower)
-    reports = []
-    for seed in ("0", "12345"):
-        out = tmp_path / f"seed{seed}.json"
-        main(["check", path, "--wilson", "--seed", seed, "--json", str(out)])
-        reports.append(parse_report(out.read_bytes()))
+    with pytest.raises(SystemExit) as exc:
+        main(["check", path, "--wilson", "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    out = tmp_path / "report.json"
+    main(["check", path, "--wilson", "--json", str(out)])
     capsys.readouterr()
-    assert reports[1]["options"].pop("seed") == 12345
-    assert reports[0]["options"].pop("seed") == 0
-    assert reports[0] == reports[1]
+    assert "seed" not in parse_report(out.read_bytes())["options"]
 
 
 @pytest.mark.parametrize(
@@ -354,3 +354,18 @@ def test_check_pair_checks_on_chain_stage_are_bounded(tmp_path, capsys, marked_s
         assert stage0["checks"]["centralizer_product"]["status"] == "fail"
     else:
         assert stage0["checks"]["critical_pair"]["status"] == "not-applicable"
+
+
+def _raise_defect(*args, **kwargs):
+    raise KernelBugError("cross-check failed")
+
+
+@pytest.mark.parametrize(
+    "target",
+    ["jicert.hom.GroupHom._build_graph", "jicert.prefixes.subgroup_generated"],
+    ids=["map-validation", "mark-subgroup"],
+)
+def test_check_internal_defect_exits_4(monkeypatch, capsys, target):
+    monkeypatch.setattr(target, _raise_defect)
+    assert main(CHECK_ARGS) == 4
+    assert capsys.readouterr().err == "internal error: cross-check failed\n"
