@@ -632,7 +632,7 @@ def derive_critical_marks(prefix: SystemPrefix) -> SystemPrefix:
     marks: dict[int, PermGroup] = {}
     for n in range(1, len(prefix.groups)):
         g = prefix.groups[n - 1]
-        k = prefix.kernels[n - 1]
+        k = prefix.kernel(n - 1)
         if g.is_trivial():
             raise DerivationError("the stage group is trivial", level=n)
 
@@ -788,8 +788,8 @@ def certify_system(
     """Run the requested checks at every stage and assemble the verdict.
 
     The pair checks always run where marks allow; the other families are
-    opt-in.  Kernels come from the prefix (recomputed at parse time), never
-    from the document.
+    opt-in.  Kernels come from the prefix (computed from the connecting maps
+    on first use), never from the document.
     """
     options = options or CertifyOptions()
     if not prefix.groups:
@@ -802,21 +802,22 @@ def certify_system(
     ]
 
     def kernel_at(n: int) -> Optional[PermGroup]:
-        return prefix.b0 if n == 0 else prefix.kernels[n]
+        return prefix.b0 if n == 0 else prefix.kernel(n)
 
     pair_checks = (CHECK_CRITICAL_PAIR, CHECK_CENTRALIZER_PRODUCT)
     for n in range(last):
-        a_next, a_n, b_n = prefix.a_marks[n + 1], prefix.a_marks[n], kernel_at(n)
-        if a_next is None or a_n is None or b_n is None:
-            missing = [
-                what
-                for what, sub in (
-                    (f"a[{n + 1}]", a_next),
-                    (f"a[{n}]", a_n),
-                    ("b0" if n == 0 else f"kernel[{n}]", b_n),
-                )
-                if sub is None
-            ]
+        a_next, a_n = prefix.a_marks[n + 1], prefix.a_marks[n]
+        # only b0 can be missing; a kernel is computed once both a marks are there
+        missing = [
+            what
+            for what, absent in (
+                (f"a[{n + 1}]", a_next is None),
+                (f"a[{n}]", a_n is None),
+                ("b0", n == 0 and prefix.b0 is None),
+            )
+            if absent
+        ]
+        if missing:
             _mark_na(verdicts[n], pair_checks, f"missing marks: {', '.join(missing)}")
         else:
             _merge_or_bound(
@@ -826,7 +827,7 @@ def certify_system(
                 prefix.homs[n],
                 a_next,
                 a_n,
-                b_n,
+                kernel_at(n),
                 stage_index=n,
             )
     _mark_na(verdicts[last], pair_checks, "deepest stage: no further connecting map")
@@ -873,8 +874,8 @@ def certify_system(
     if options.strengthened:
         thmb_checks = (CHECK_DICHOTOMY, CHECK_NO_CENTRAL_FACTOR)
         for n in range(last):
-            a_next, a_n, b_n = prefix.a_marks[n + 1], prefix.a_marks[n], kernel_at(n)
-            if a_next is None or a_n is None or b_n is None:
+            a_next, a_n = prefix.a_marks[n + 1], prefix.a_marks[n]
+            if a_next is None or a_n is None or (b_n := kernel_at(n)) is None:
                 _mark_na(verdicts[n], thmb_checks, "missing marks")
             else:
                 p_n = prefix.homs[n].image(a_next)

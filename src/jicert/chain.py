@@ -10,10 +10,17 @@ grown chain contains it. elements lists the group once, each element one
 product of transversal elements, which is how dense groups get their element
 sets.
 
-A base prefix can be forced: levels for the prefix points are created up
-front, in the given order, before any generator is inserted. The pointwise
-stabilizer of the prefix points is then read off a single level. Homomorphism
-kernels and coset lifts ride on this.
+Each new level's base point is the least point its first generator moves.
+A base prefix can also be forced: levels for the prefix points are created
+up front, in the given order, before any generator is inserted. The pointwise
+stabilizer of the prefix points is then read off a single level.
+
+A chain of a group that preserves the block {0, ..., n-1} cuts down to a
+chain of the group's action on that block (cut): every level keeps its base
+point, orbit and order, and its generators and transversal elements keep
+their first n images. Homomorphisms ride on this: the chain of a graph group
+cuts down to the chain of the source, and the tail of a chain with the target
+points forced first cuts down to the chain of the kernel.
 """
 
 from __future__ import annotations
@@ -208,15 +215,35 @@ class StabilizerChain:
         return self.contains_tuple(tuple(p.images))
 
     def gens_fixing_prefix(self, k: int) -> list[tuple]:
-        """Strong generators of the pointwise stabilizer of the first k base points.
-
-        Requires that the chain was built with a base prefix of length >= k.
-        """
+        """Strong generators of the pointwise stabilizer of the first k base points."""
         if k >= len(self.levels):
             return []
         return list(self.levels[k].gens)
 
-    def lift_points(self, point_images: Mapping[int, int], k: int) -> tuple:
+    def cut(self, first_level: int, degree: int) -> StabilizerChain:
+        """The levels from first_level on, each permutation cut to its first
+        degree images.
+
+        The strong generators of those levels must preserve {0, ..., degree-1}
+        and act faithfully on it, and their base points must lie in it; then
+        the result is a complete chain of the group they generate, acting on
+        those points. No Schreier-Sims is run.
+        """
+        chain = StabilizerChain.__new__(StabilizerChain)
+        chain.degree = degree
+        chain._identity = tuple(range(degree))
+        chain.levels = []
+        for old in self.levels[first_level:]:
+            level = _Level(old.base, chain._identity)
+            level.gens = [g[:degree] for g in old.gens]
+            level.tr = {p: u[:degree] for p, u in old.tr.items()}
+            level.tr_inv = {p: u[:degree] for p, u in old.tr_inv.items()}
+            level.tr[old.base] = level.tr_inv[old.base] = chain._identity
+            level.orbit_order = list(old.orbit_order)
+            chain.levels.append(level)
+        return chain
+
+    def lift_points(self, point_images: Mapping[int, int] | Sequence[int], k: int) -> tuple:
         """Some group element mapping the first k base points as prescribed.
 
         point_images must cover those base points. Raises MembershipError if

@@ -18,8 +18,9 @@ class DenseBoundExceededError(JicertError):
     is enumerated. Signals the caller to rebuild the group in chain mode.
     """
 
-    def __init__(self, bound: int):
-        super().__init__(f"element enumeration exceeded dense bound {bound}")
+    def __init__(self, order: int, bound: int):
+        super().__init__(f"group order {order} exceeds dense bound {bound}")
+        self.order = order
         self.bound = bound
 
 

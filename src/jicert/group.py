@@ -1,8 +1,8 @@
 """Finite permutation groups in two computation modes.
 
-Every group built from generators starts as a stabilizer chain, which gives
-its order before any element is listed. Dense mode then materializes the full
-element set, enumerated from the chain with one product per element, and is
+Every group starts as a stabilizer chain, built from its generators or
+handed over (from_chain), which gives its order before any element is
+listed. Dense mode then materializes the full element set, enumerated from the chain with one product per element, and is
 required by anything that scans elements (centralizers, conjugacy classes,
 normal-subgroup lattices). Chain mode keeps the stabilizer chain only and
 scales to groups far past the dense bound; operations that would need the
@@ -242,12 +242,26 @@ class PermGroup:
         gens = _normalize_gens(degree, generators)
         if mode not in ("auto", "dense", "chain"):
             raise ValueError(f"unknown mode {mode!r}")
-        chain = StabilizerChain(degree, gens)
-        too_big = chain.order() > dense_bound
-        if mode == "chain" or (mode == "auto" and too_big):
+        return PermGroup.from_chain(degree, gens, StabilizerChain(degree, gens), mode, dense_bound)
+
+    @staticmethod
+    def from_chain(
+        degree: int,
+        gens: tuple[Permutation, ...],
+        chain: StabilizerChain,
+        mode: str,
+        dense_bound: int,
+    ) -> PermGroup:
+        """The group generated by gens, given a complete chain of it.
+
+        gens must already be normalized, and mode is one of from_generators'
+        modes, which it means the same as there.
+        """
+        order = chain.order()
+        if mode == "chain" or (mode == "auto" and order > dense_bound):
             return PermGroup(degree=degree, mode="chain", gens=gens, chain=chain)
-        if too_big:
-            raise DenseBoundExceededError(dense_bound)
+        if order > dense_bound:
+            raise DenseBoundExceededError(order, dense_bound)
         elements = frozenset(map(Permutation._raw, chain.elements()))
         return PermGroup(degree=degree, mode="dense", gens=gens, elements=elements)
 

@@ -2,12 +2,20 @@
 
 Every map is validated by its graph group: the subgroup of Sym(source points +
 shifted target points) generated by the paired permutations (g, phi(g)). The
-map is well defined exactly when the pointwise stabilizer of the source points
-in the graph group is trivial; a stabilizer chain with the source points as
-forced base prefix decides that exactly and doubles as the evaluator (lift a
-source element through the prefix, read the target half). A second chain with
-the target points first, built on first use, yields the kernel and preimages,
-and the kernel order is checked against |image| * |kernel| = |source|.
+map is well defined exactly when no nontrivial element of the graph group
+fixes every source point. A new chain level's base point is the least point
+its first generator moves, so on the graph group's chain that holds exactly
+when every base point is a source point; otherwise the first generator of the
+first level with a target base point is the witness. Cut down to the source
+points, the chain of a well-defined map is the chain that
+PermGroup.from_generators builds for the source, so a stage group can be read
+off its map's chain. The chain doubles as the evaluator: lift a source
+element through the base points, read the target half.
+
+A second chain with the target points forced first, built on first use,
+yields preimages, and its tail below the target points, cut down to the
+source points, is the kernel's chain. The kernel order is checked against
+|image| * |kernel| = |source|.
 
 Kernels and preimages reach report witnesses through their generator lists.
 Under a dense source they are dense groups named by the greedy generators of
@@ -18,7 +26,7 @@ the chain; under a chain source they keep the chain's generators.
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .chain import StabilizerChain
 from .errors import (
@@ -33,58 +41,78 @@ from .group import DEFAULT_DENSE_BOUND, PermGroup, _normalize_gens, subgroup_gen
 from .perm import Permutation
 
 
+def _graph_gens(
+    source_degree: int, source_gens: Sequence[Permutation], images: Sequence[Permutation]
+) -> list[tuple]:
+    return [
+        tuple(g.images) + tuple(source_degree + j for j in fg.images)
+        for g, fg in zip(source_gens, images)
+    ]
+
+
+def graph_chain(
+    source_degree: int,
+    source_gens: Sequence[Permutation],
+    target: PermGroup,
+    images: Sequence[Permutation],
+) -> StabilizerChain:
+    """The graph-group chain of the map sending source_gens to images.
+
+    Raises HomomorphismError if the images do not lie in target or define no
+    homomorphism from the group source_gens generate.
+    """
+    if len(images) != len(source_gens):
+        raise HomomorphismError(f"{len(images)} images for {len(source_gens)} generators")
+    for im in images:
+        if im.degree != target.degree:
+            raise DegreeMismatchError("image degree differs from target degree")
+        if not target.contains(im):
+            raise HomomorphismError(f"image {im!r} is outside the target group")
+    ds = source_degree
+    chain = StabilizerChain(ds + target.degree, _graph_gens(ds, source_gens, images))
+    for k, point in enumerate(chain.base()):
+        if point >= ds:
+            # the level's first generator moves no point below its base
+            t = chain.gens_fixing_prefix(k)[0]
+            witness = Permutation._raw(tuple(x - ds for x in t[ds:]))
+            raise HomomorphismError(
+                f"generator images satisfy no homomorphism; "
+                f"a trivial source relation maps to {witness!r}"
+            )
+    return chain
+
+
 class GroupHom:
     """A verified homomorphism given by images of the source generators."""
 
-    __slots__ = ("source", "target", "generator_images", "_graph_gens", "_graph_src",
-                 "_graph_tgt", "_image")
+    __slots__ = ("source", "target", "generator_images", "_graph", "_graph_tgt", "_image")
 
     def __init__(
         self,
         source: PermGroup,
         target: PermGroup,
         generator_images: Sequence[Permutation],
+        graph: Optional[StabilizerChain] = None,
     ):
+        """graph, if given, is graph_chain(source.degree, source.generators,
+        target, generator_images)."""
         images = tuple(generator_images)
-        if len(images) != len(source.generators):
-            raise HomomorphismError(
-                f"{len(images)} images for {len(source.generators)} generators"
-            )
-        for im in images:
-            if im.degree != target.degree:
-                raise DegreeMismatchError("image degree differs from target degree")
-            if not target.contains(im):
-                raise HomomorphismError(f"image {im!r} is outside the target group")
+        if graph is None:
+            graph = graph_chain(source.degree, source.generators, target, images)
         self.source = source
         self.target = target
         self.generator_images = images
+        self._graph = graph
         self._graph_tgt = None
         self._image = None
-        self._build_graph()
-
-    # -- validation ---------------------------------------------------------
-
-    def _build_graph(self) -> None:
-        ds, dt = self.source.degree, self.target.degree
-        gens = []
-        for g, fg in zip(self.source.generators, self.generator_images):
-            gens.append(tuple(g.images) + tuple(ds + j for j in fg.images))
-        self._graph_gens = gens
-        src_chain = StabilizerChain(ds + dt, gens, base_prefix=range(ds))
-        for t in src_chain.gens_fixing_prefix(ds):
-            if t != tuple(range(ds + dt)):
-                witness = Permutation._raw(tuple(x - ds for x in t[ds:]))
-                raise HomomorphismError(
-                    f"generator images satisfy no homomorphism; "
-                    f"a trivial source relation maps to {witness!r}"
-                )
-        self._graph_src = src_chain
 
     def _target_first(self) -> StabilizerChain:
         if self._graph_tgt is None:
             ds, dt = self.source.degree, self.target.degree
             self._graph_tgt = StabilizerChain(
-                ds + dt, self._graph_gens, base_prefix=range(ds, ds + dt)
+                ds + dt,
+                _graph_gens(ds, self.source.generators, self.generator_images),
+                base_prefix=range(ds, ds + dt),
             )
         return self._graph_tgt
 
@@ -94,7 +122,9 @@ class GroupHom:
         ds = self.source.degree
         if x.degree != ds:
             raise MembershipError(f"degree {x.degree} argument to a map on degree {ds}")
-        lifted = self._graph_src.lift_points({i: x.images[i] for i in range(ds)}, ds)
+        lifted = self._graph.lift_points(x.images, len(self._graph.levels))
+        if lifted[:ds] != x.images:
+            raise MembershipError(f"{x!r} is outside the source group")
         return Permutation._raw(tuple(p - ds for p in lifted[ds:]))
 
     def image(self, sub: PermGroup | None = None) -> PermGroup:
@@ -115,25 +145,21 @@ class GroupHom:
         ds, dt = self.source.degree, self.target.degree
         return [Permutation._raw(t[:ds]) for t in self._target_first().gens_fixing_prefix(dt)]
 
-    def _source_subgroup(
-        self, gens: list[Permutation], mode: str, dense_bound: int = DEFAULT_DENSE_BOUND
-    ) -> PermGroup:
-        """<gens>: dense by its element set under a dense source, else in mode."""
-        if self.source.mode == "dense":
-            sub = subgroup_generated(self.source, gens)
-            return PermGroup.from_element_set(self.source.degree, sub.elements())
-        return PermGroup.from_generators(
-            self.source.degree, gens, mode=mode, dense_bound=dense_bound
-        )
-
     def kernel(self, dense_bound: int = DEFAULT_DENSE_BOUND) -> PermGroup:
-        ker = self._source_subgroup(self._kernel_gens(), "auto", dense_bound)
+        ds, dt = self.source.degree, self.target.degree
+        chain = self._target_first().cut(dt, ds)
+        if self.source.mode == "dense":
+            elements = frozenset(map(Permutation._raw, chain.elements()))
+            ker = PermGroup.from_element_set(ds, elements)
+        else:
+            ker = PermGroup.from_chain(ds, tuple(self._kernel_gens()), chain, "auto", dense_bound)
         if ker.order * self.image().order != self.source.order:
             raise KernelBugError("kernel order inconsistent with image order")
         return ker
 
     def preimage(self, sub: PermGroup) -> PermGroup:
-        """Full preimage of sub, which must lie inside the image."""
+        """Full preimage of sub, which must lie inside the image: dense by its
+        element set under a dense source, else in chain mode."""
         ds, dt = self.source.degree, self.target.degree
         if sub.degree != dt:
             raise DegreeMismatchError("preimage argument has the wrong degree")
@@ -142,7 +168,10 @@ class GroupHom:
         for k in sub.generators:
             lifted = chain.lift_points({ds + j: ds + k.images[j] for j in range(dt)}, dt)
             gens.append(Permutation._raw(lifted[:ds]))
-        return self._source_subgroup(gens, "chain")
+        if self.source.mode == "dense":
+            pre = subgroup_generated(self.source, gens)
+            return PermGroup.from_element_set(ds, pre.elements())
+        return PermGroup.from_generators(ds, gens, mode="chain")
 
     def compose(self, inner: GroupHom) -> GroupHom:
         """self after inner."""

@@ -3,8 +3,11 @@
 A prefix file lists stage groups coarsest first.  Stage n > 0 carries, for
 each of its generators, the image permutation in the stage n-1 group; the
 connecting maps and their kernels are reconstructed from those images and
-never read from the file.  Optional marks ("a" per stage, "b0" on stage 0)
-name distinguished normal subgroups by generator lists.
+never read from the file.  Each map is validated on one stabilizer chain of
+its graph group, stage n's group is read off that chain, and a kernel is
+computed from its map when something first asks for it.  Optional marks
+("a" per stage, "b0" on stage 0) name distinguished normal subgroups by
+generator lists.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .errors import InputFormatError, JicertError, KernelBugError
-from .group import DEFAULT_DENSE_BOUND, PermGroup, subgroup_generated
-from .hom import GroupHom
+from .group import DEFAULT_DENSE_BOUND, PermGroup, _normalize_gens, subgroup_generated
+from .hom import GroupHom, graph_chain
 from .library import named_group
 from .perm import Permutation
 
@@ -42,24 +45,37 @@ class StageRecord:
 
 @dataclass(frozen=True)
 class SystemPrefix:
-    """Validated prefix: groups, connecting maps, recomputed kernels, marks.
+    """Validated prefix: groups, connecting maps, marks, and kernels on first use.
 
-    kernels[0] is None; kernels[n] is the kernel of homs[n-1] inside
-    groups[n].  a_marks and b0 are None where the file carried no mark.
-    mode and dense_bound are the ones the groups were built with.
+    a_marks and b0 are None where the file carried no mark.  mode and
+    dense_bound are the ones the groups were built with.
     """
 
     records: tuple[StageRecord, ...]
     groups: tuple[PermGroup, ...] = field(compare=False)
     homs: tuple[GroupHom, ...] = field(compare=False)
-    kernels: tuple[Optional[PermGroup], ...] = field(compare=False)
     a_marks: tuple[Optional[PermGroup], ...] = field(compare=False)
     b0: Optional[PermGroup] = field(compare=False)
     mode: str = field(default="auto", compare=False)
     dense_bound: int = field(default=DEFAULT_DENSE_BOUND, compare=False)
+    _kernels: dict[int, PermGroup] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.records)
+
+    def kernel(self, n: int) -> Optional[PermGroup]:
+        """The kernel of homs[n-1] inside groups[n]; None at n = 0.
+
+        Each kernel is computed from its map when first asked for, then kept.
+        """
+        if n == 0:
+            return None
+        ker = self._kernels.get(n)
+        if ker is None:
+            ker = self._kernels[n] = self.homs[n - 1].kernel(self.dense_bound)
+        return ker
 
     def with_marks(
         self,
@@ -196,17 +212,17 @@ def _assemble(
     mode: str = "auto",
     dense_bound: int = DEFAULT_DENSE_BOUND,
 ) -> SystemPrefix:
-    """Build groups, maps, kernels and marks from records, or reject."""
-    groups = []
-    for i, rec in enumerate(records):
-        groups.append(
-            PermGroup.from_generators(
-                rec.degree, rec.generators, mode=mode, dense_bound=dense_bound
-            )
-        )
+    """Build groups, maps and marks from records, or reject.
 
+    Stage 0 is built from its generators. Every later stage is read off the
+    graph chain of its connecting map, so each map costs one Schreier-Sims.
+    """
+    groups = [
+        PermGroup.from_generators(
+            records[0].degree, records[0].generators, mode=mode, dense_bound=dense_bound
+        )
+    ]
     homs = []
-    kernels: list[Optional[PermGroup]] = [None]
     for i in range(1, len(records)):
         rec = records[i]
         where = f"stage {i}"
@@ -221,9 +237,10 @@ def _assemble(
                 raise InputFormatError(
                     f"{where}: identity generator must map to the identity"
                 )
-        aligned = tuple(mapping[g] for g in groups[i].generators)
+        gens = _normalize_gens(rec.degree, rec.generators)
+        aligned = tuple(mapping[g] for g in gens)
         try:
-            hom = GroupHom(groups[i], groups[i - 1], aligned)
+            graph = graph_chain(rec.degree, gens, groups[i - 1], aligned)
         except (KernelBugError, InputFormatError):
             raise
         except (JicertError, ValueError) as exc:
@@ -231,10 +248,13 @@ def _assemble(
                 f"{where}: images do not define a homomorphism onto the previous "
                 f"stage: {exc}"
             ) from None
+        groups.append(
+            PermGroup.from_chain(rec.degree, gens, graph.cut(0, rec.degree), mode, dense_bound)
+        )
+        hom = GroupHom(groups[i], groups[i - 1], aligned, graph)
         if not hom.is_surjective():
             raise InputFormatError(f"{where}: connecting map is not surjective")
         homs.append(hom)
-        kernels.append(hom.kernel(dense_bound))
 
     a_marks: list[Optional[PermGroup]] = []
     for i, rec in enumerate(records):
@@ -250,7 +270,6 @@ def _assemble(
         records=records,
         groups=tuple(groups),
         homs=tuple(homs),
-        kernels=tuple(kernels),
         a_marks=tuple(a_marks),
         b0=b0,
         mode=mode,

@@ -192,12 +192,12 @@ def test_criterion_06_tower_verdicts_and_golden_bytes(tmp_path, capsys):
     prefix = parse_system((DATA / "cyclic2_tower.json").read_text())
     n = len(prefix.groups)
     for i in range(n):
-        k = prefix.b0 if i == 0 else prefix.kernels[i]
+        k = prefix.b0 if i == 0 else prefix.kernel(i)
         sv = check_wilson_stage(prefix.groups[i], k)
         assert sv.checks[CHECK_WILSON_I].status == PASS, i
         assert sv.checks[CHECK_WILSON_II].status == PASS, i
     for i in range(n - 1):
-        b = prefix.b0 if i == 0 else prefix.kernels[i]
+        b = prefix.b0 if i == 0 else prefix.kernel(i)
         sv = check_critical_stage(
             prefix.homs[i], prefix.a_marks[i + 1], prefix.a_marks[i], b
         )
@@ -216,7 +216,7 @@ def test_criterion_07_derived_marks_certify():
     prefix = build_wreath_tower([("S3", 3)], 2)
     derived = derive_critical_marks(prefix)
     for i in range(len(derived.groups) - 1):
-        b = derived.b0 if i == 0 else derived.kernels[i]
+        b = derived.b0 if i == 0 else derived.kernel(i)
         sv = check_critical_stage(
             derived.homs[i], derived.a_marks[i + 1], derived.a_marks[i], b
         )

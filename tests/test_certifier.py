@@ -156,12 +156,12 @@ def test_critical_stage_golden_passes(golden_prefix):
 
 def test_critical_stage_degenerate_pair(tower_prefix):
     p = tower_prefix
-    sv = check_critical_stage(p.homs[1], p.a_marks[2], p.a_marks[1], p.kernels[1])
+    sv = check_critical_stage(p.homs[1], p.a_marks[2], p.a_marks[1], p.kernel(1))
     res = sv.checks[CHECK_CRITICAL_PAIR]
     assert res.status == FAIL
     assert res.note == "degenerate pair: top and bottom marks coincide"
     assert res.witness["top"]["order"] == 2
-    context = dict(g=p.groups[1], a=p.a_marks[1], b=p.kernels[1])
+    context = dict(g=p.groups[1], a=p.a_marks[1], b=p.kernel(1))
     assert revalidate_witness(CHECK_CRITICAL_PAIR, res.witness, **context)
     # the witness must name the pair it condemns
     for junk in ({}, {"top": 5, "bottom": "x"}, {"top": res.witness["top"]}):
@@ -567,7 +567,7 @@ def test_certify_missing_marks_reported():
 
 def test_certify_rejects_empty_prefix():
     empty = SystemPrefix(
-        records=(), groups=(), homs=(), kernels=(), a_marks=(), b0=None
+        records=(), groups=(), homs=(), a_marks=(), b0=None
     )
     with pytest.raises(ValueError):
         certify_system(empty)

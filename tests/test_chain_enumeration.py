@@ -146,7 +146,7 @@ def test_dense_bound_is_checked_on_the_order():
     assert PermGroup.from_generators(4, s4.generators, dense_bound=24).order == 24
     with pytest.raises(DenseBoundExceededError) as exc:
         PermGroup.from_generators(4, s4.generators, dense_bound=23)
-    assert str(exc.value) == "element enumeration exceeded dense bound 23"
+    assert str(exc.value) == "group order 24 exceeds dense bound 23"
 
 
 def test_dense_bound_refused_before_enumeration(monkeypatch):
@@ -160,4 +160,4 @@ def test_dense_bound_refused_before_enumeration(monkeypatch):
     monkeypatch.setattr(StabilizerChain, "elements", no_enumeration)
     with pytest.raises(DenseBoundExceededError) as exc:
         PermGroup.from_generators(w.degree, w.generators, mode="dense")
-    assert str(exc.value) == "element enumeration exceeded dense bound 2000000"
+    assert str(exc.value) == "group order 46656000000 exceeds dense bound 2000000"

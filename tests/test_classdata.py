@@ -10,9 +10,11 @@ from jicert import (
     schur_closure_check,
     symmetric,
 )
-from jicert.classdata import _spot_check
 from jicert.errors import KernelBugError
-from jicert.simples import SimpleGroupRow, SimpleTypeId
+from jicert.group import center, derived_subgroup
+from jicert.hom import quotient
+from jicert.library import sl2
+from jicert.simples import SimpleGroupRow, SimpleTypeId, is_simple
 
 
 def test_load_applies_bound():
@@ -43,6 +45,34 @@ def test_multiplier_spot_values():
         assert table.multiplier_order(name) == mult, name
     with pytest.raises(KeyError):
         table.multiplier_order("E8(2)")
+
+
+def _spot_check(table: SchurTable) -> None:
+    """Witness one table row: SL(2,5) is a perfect central extension, with
+    center of order 2, of a simple group of order 60, so that row's
+    multiplier order must be even."""
+    s = sl2(5)
+    if derived_subgroup(s).order != s.order:
+        raise KernelBugError("SL(2,5) should be perfect")
+    z = center(s)
+    if z.order != 2:
+        raise KernelBugError("SL(2,5) should have center of order 2")
+    q, _ = quotient(s, z)
+    if q.order != 60 or not is_simple(q):
+        raise KernelBugError("SL(2,5) modulo its center should be simple of order 60")
+    for row in table.rows:
+        if row.order == 60:
+            if row.multiplier_order % 2 != 0:
+                raise KernelBugError("order-60 multiplier row contradicts its double cover")
+            return
+    if table.order_bound >= 60:
+        raise KernelBugError("table is missing the order-60 simple group")
+
+
+@pytest.mark.parametrize("order_bound", [1_000_000, 10_000])
+def test_shipped_table_passes_spot_check(order_bound):
+    # the table ships with the package, so it is checked here and not on every load
+    _spot_check(SchurTable.load(order_bound))
 
 
 def test_spot_check_detects_corruption():

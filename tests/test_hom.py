@@ -299,7 +299,7 @@ def test_chain_maps_match_dense_tables(small_corpus):
     ids=["s4_s3_prefix", "cyclic2_tower", "S3:3", "C2:2"],
 )
 def test_tower_maps_match_dense_tables(build):
-    # the connecting maps, their parse-time kernels, and the preimages that
+    # the connecting maps, their prefix kernels, and the preimages that
     # mark derivation takes, against the table
     prefix = build()
     for n, phi in enumerate(prefix.homs, start=1):
@@ -308,8 +308,8 @@ def test_tower_maps_match_dense_tables(build):
         subs = cyclic_subgroups(phi.target) + list(minimal_normal_subgroups(phi.target))
         assert_matches_reference(phi, table, subs)
         want = reference_preimage(phi.source.degree, table, PermGroup.trivial(phi.target.degree))
-        assert prefix.kernels[n].elements() == want.elements()
-        assert prefix.kernels[n].generators == want.generators
+        assert prefix.kernel(n).elements() == want.elements()
+        assert prefix.kernel(n).generators == want.generators
 
 
 _SOURCES = [symmetric(n) for n in (3, 4, 5)]

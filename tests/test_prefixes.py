@@ -3,7 +3,6 @@ import json
 import pytest
 
 from jicert import (
-    GroupHom,
     InputFormatError,
     Permutation,
     UnknownGroupError,
@@ -33,7 +32,7 @@ def test_parse_single_stage():
     assert len(prefix) == 1
     assert prefix.groups[0].order == 6
     assert prefix.homs == ()
-    assert prefix.kernels == (None,)
+    assert prefix.kernel(0) is None
     assert prefix.a_marks == (None,)
     assert prefix.b0 is None
 
@@ -42,7 +41,7 @@ def test_parse_two_stages_recomputes_kernel():
     prefix = parse_system(doc(S3_STAGE, S4_STAGE))
     assert [g.order for g in prefix.groups] == [6, 24]
     assert prefix.homs[0].is_surjective()
-    k = prefix.kernels[1]
+    k = prefix.kernel(1)
     assert k.order == 4  # the connecting map's kernel, never read from the file
     assert all(k.contains(x ** g) for x in k.generators for g in prefix.groups[1].generators)
 
@@ -226,7 +225,7 @@ def test_build_wreath_tower_two_stages():
     prefix = build_wreath_tower([("S3", 3)], 2)
     assert [g.order for g in prefix.groups] == [6, 6**3 * 6]
     assert [g.degree for g in prefix.groups] == [3, 9]
-    assert prefix.kernels[1].order == 6**3
+    assert prefix.kernel(1).order == 6**3
     assert prefix.homs[0].is_surjective()
 
 
@@ -240,7 +239,7 @@ def test_build_wreath_tower_chain_mode():
     prefix = build_wreath_tower([("A5", 5)], 2, chain_mode=True, dense_bound=10_000)
     assert prefix.groups[1].mode == "chain"
     assert prefix.groups[1].order == 60**5 * 60
-    assert prefix.kernels[1].order == 60**5
+    assert prefix.kernel(1).order == 60**5
 
 
 def test_build_wreath_tower_rejections():
@@ -263,10 +262,12 @@ def test_build_wreath_tower_rejections():
     ids=["dense", "chain"],
 )
 def test_defect_in_map_construction_is_not_an_input_error(monkeypatch, build):
-    def broken(self):
+    import jicert.prefixes
+
+    def broken(source_degree, source_gens, target, images):
         raise RuntimeError("internal defect")
 
-    monkeypatch.setattr(GroupHom, "_build_graph", broken)
+    monkeypatch.setattr(jicert.prefixes, "graph_chain", broken)
     with pytest.raises(RuntimeError, match="internal defect"):
         build()
 
@@ -290,4 +291,8 @@ def test_parsing_closes_each_map_image_once(monkeypatch):
         closures = [c for c in calls if c[0] is hom.target and c[1] == hom.generator_images]
         assert len(closures) == 1
         assert hom.image() is hom.image()
-    assert len(calls) == 4  # each map's image once, each dense kernel once
+    assert len(calls) == 2  # each map's image once
+    # a kernel is read off the map's chain on first use, with no closure, and kept
+    for n in (1, 2):
+        assert prefix.kernel(n) is prefix.kernel(n)
+    assert len(calls) == 2

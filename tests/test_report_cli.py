@@ -234,7 +234,7 @@ def test_build_wreath_to_file(tmp_path, capsys):
     assert f"wrote {out}: 2 stages, orders 6, 1296" in stdout
     prefix = parse_system(out.read_text())
     assert [g.order for g in prefix.groups] == [6, 1296]
-    assert prefix.kernels[1].order == 216
+    assert prefix.kernel(1).order == 216
 
 
 def test_build_wreath_to_stdout(capsys):
@@ -362,7 +362,7 @@ def _raise_defect(*args, **kwargs):
 
 @pytest.mark.parametrize(
     "target",
-    ["jicert.hom.GroupHom._build_graph", "jicert.prefixes.subgroup_generated"],
+    ["jicert.prefixes.graph_chain", "jicert.prefixes.subgroup_generated"],
     ids=["map-validation", "mark-subgroup"],
 )
 def test_check_internal_defect_exits_4(monkeypatch, capsys, target):

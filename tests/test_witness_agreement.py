@@ -232,7 +232,7 @@ def test_every_certify_failure_revalidates():
         verdict = certify_system(prefix, options)
         last = len(prefix.groups) - 1
         for n, sv in enumerate(verdict.stages):
-            kernel = prefix.b0 if n == 0 else prefix.kernels[n]
+            kernel = prefix.b0 if n == 0 else prefix.kernel(n)
             context = dict(g=prefix.groups[n], k=kernel, a=prefix.a_marks[n], b=kernel)
             if n < last and prefix.a_marks[n + 1] is not None:
                 context["p"] = prefix.homs[n].image(prefix.a_marks[n + 1])
