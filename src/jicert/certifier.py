@@ -22,8 +22,7 @@ re-check agree by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .classdata import SchurTable, SimpleClass, count_class_factors
 from .errors import (
@@ -88,38 +87,46 @@ CHECK_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     status: str
     witness: Optional[dict] = None
     note: Optional[str] = None
 
 
-@dataclass
 class StageVerdict:
-    stage_index: int
-    order: int
-    degree: int
-    checks: dict[str, CheckResult] = field(default_factory=dict)
+    """One stage's check results by check name: mutable, with a checks dict
+    of its own, equal by value and so unhashable."""
+
+    __slots__ = ("stage_index", "order", "degree", "checks")
+
+    def __init__(self, stage_index: int, order: int, degree: int, checks=None):
+        self.stage_index, self.order, self.degree = stage_index, order, degree
+        self.checks: dict[str, CheckResult] = {} if checks is None else checks
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not StageVerdict:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"StageVerdict({fields})"
 
 
-@dataclass
-class ClassCountReport:
+class ClassCountReport(NamedTuple):
     member_names: tuple[str, ...]
     counts: tuple[int, ...]
     strictly_increasing: bool
 
 
-@dataclass
-class SystemVerdict:
+class SystemVerdict(NamedTuple):
     stages: tuple[StageVerdict, ...]
     summary: str
     limit_claim: str
     class_counts: Optional[ClassCountReport] = None
 
 
-@dataclass(frozen=True)
-class CertifyOptions:
+class CertifyOptions(NamedTuple):
     wilson: bool = False
     commuting_conjugates: bool = False
     strengthened: bool = False
@@ -535,8 +542,7 @@ def check_centralize_or_contain(
 # -- E^p properness ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EpVerdict:
+class EpVerdict(NamedTuple):
     status: str
     note: str
     ep_order: Optional[int] = None

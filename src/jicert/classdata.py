@@ -13,16 +13,14 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .group import PermGroup
 from .lattice import composition_factors
 from .simples import SimpleGroupRow, SimpleTypeId, simple_table_rows
 
 
-@dataclass(frozen=True)
-class SimpleClass:
+class SimpleClass(NamedTuple):
     """A set of simple isomorphism types, closed over nothing by itself."""
 
     members: frozenset[SimpleTypeId]
@@ -37,8 +35,7 @@ class SimpleClass:
         return frozenset(m.name for m in self.members)
 
 
-@dataclass(frozen=True)
-class SchurTable:
+class SchurTable(NamedTuple):
     """Nonabelian simple groups up to order_bound with Schur multiplier orders."""
 
     rows: tuple[SimpleGroupRow, ...]
@@ -61,8 +58,7 @@ def _load_table(order_bound: int) -> SchurTable:
     return SchurTable(rows=rows, order_bound=order_bound)
 
 
-@dataclass(frozen=True)
-class SchurClosureVerdict:
+class SchurClosureVerdict(NamedTuple):
     ok: bool
     missing: tuple[str, ...]
     order_bound: int

@@ -137,23 +137,21 @@ class ElementIndex:
     def extend(self, h: frozenset[int], gens: Sequence[int], j: int) -> frozenset[int]:
         """Positions of <H, elems[j]>, where h holds the positions of H = <gens>.
 
-        The closure starts from h, which is already closed under gens.
+        A union of right cosets of H (Dimino's method): r * s, for each coset
+        representative r and each s among gens and elems[j], lies in a coset
+        already found or starts a new one, H * e, read off e's right row.
         """
-        new = self.right_row(j)
         rows = [self.right_row(i) for i in gens]
-        rows.append(new)
+        rows.append(self.right_row(j))
+        coset = itemgetter(*h) if len(h) > 1 else lambda row: (row[0],)
         have = set(h)
-        frontier = [k for k in (new[i] for i in h) if k not in have]
-        have.update(frontier)
-        while frontier:
-            fresh = []
-            for i in frontier:
-                for row in rows:
-                    k = row[i]
-                    if k not in have:
-                        have.add(k)
-                        fresh.append(k)
-            frontier = fresh
+        reps = [0]
+        for r in reps:
+            for row in rows:
+                e = row[r]
+                if e not in have:
+                    have.update(coset(self.right_row(e)))
+                    reps.append(e)
         return frozenset(have)
 
     def normal_closure(

@@ -13,8 +13,7 @@ generator lists.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InputFormatError, JicertError, KernelBugError
 from .group import DEFAULT_DENSE_BOUND, PermGroup, _normalize_gens, subgroup_generated
@@ -28,8 +27,7 @@ _STAGE0_KEYS = {"degree", "generators", "a", "b0"}
 _STAGE_KEYS = {"degree", "generators", "a", "images"}
 
 
-@dataclass(frozen=True)
-class StageRecord:
+class StageRecord(NamedTuple):
     """One stage as written in a prefix file.
 
     Generator lists are kept verbatim (duplicates and identities included)
@@ -43,24 +41,39 @@ class StageRecord:
     b0_generators: Optional[tuple[Permutation, ...]] = None
 
 
-@dataclass(frozen=True)
 class SystemPrefix:
     """Validated prefix: groups, connecting maps, marks, and kernels on first use.
 
     a_marks and b0 are None where the file carried no mark.  mode and
-    dense_bound are the ones the groups were built with.
+    dense_bound are the ones the groups were built with.  Immutable; equal
+    and hashed by records alone.
     """
 
-    records: tuple[StageRecord, ...]
-    groups: tuple[PermGroup, ...] = field(compare=False)
-    homs: tuple[GroupHom, ...] = field(compare=False)
-    a_marks: tuple[Optional[PermGroup], ...] = field(compare=False)
-    b0: Optional[PermGroup] = field(compare=False)
-    mode: str = field(default="auto", compare=False)
-    dense_bound: int = field(default=DEFAULT_DENSE_BOUND, compare=False)
-    _kernels: dict[int, PermGroup] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    __slots__ = ("records", "groups", "homs", "a_marks", "b0", "mode", "dense_bound", "_kernels")
+
+    def __init__(
+        self, records: tuple[StageRecord, ...], groups: tuple[PermGroup, ...],
+        homs: tuple[GroupHom, ...], a_marks: tuple[Optional[PermGroup], ...],
+        b0: Optional[PermGroup], mode: str = "auto", dense_bound: int = DEFAULT_DENSE_BOUND,
+    ):
+        values = (records, groups, homs, a_marks, b0, mode, dense_bound, {})
+        for field, value in zip(self.__slots__, values):
+            object.__setattr__(self, field, value)
+
+    def __setattr__(self, name: str, _value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of SystemPrefix")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self.records == other.records if type(other) is SystemPrefix else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.records)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__[:-1])
+        return f"SystemPrefix({fields})"
 
     def __len__(self) -> int:
         return len(self.records)
@@ -84,28 +97,25 @@ class SystemPrefix:
     ) -> "SystemPrefix":
         """Copy of this prefix with the given marks installed.
 
-        Stages absent from a_marks keep their current mark.  The result is
-        revalidated from scratch, with this prefix's mode and dense bound, so
-        a non-normal mark is rejected here.
+        Stages absent from a_marks keep their current mark.  The copy shares
+        this prefix's groups, maps, mode, dense bound and computed kernels;
+        only the new marks are validated, so a non-normal one is rejected.
         """
-        records = []
-        for i, rec in enumerate(self.records):
-            a_gens = rec.a_generators
+        records, marks, new_b0 = list(self.records), list(self.a_marks), self.b0
+        for i in range(len(records)):
             if i in a_marks:
-                a_gens = tuple(a_marks[i].generators)
-            b_gens = rec.b0_generators
-            if i == 0 and b0 is not None:
-                b_gens = tuple(b0.generators)
-            records.append(
-                StageRecord(
-                    degree=rec.degree,
-                    generators=rec.generators,
-                    images=rec.images,
-                    a_generators=a_gens,
-                    b0_generators=b_gens,
-                )
-            )
-        return _assemble(tuple(records), mode=self.mode, dense_bound=self.dense_bound)
+                gens = tuple(a_marks[i].generators)
+                records[i] = records[i]._replace(a_generators=gens)
+                marks[i] = _mark_subgroup(self.groups[i], gens, f"stage {i}.a")
+        if b0 is not None:
+            gens = tuple(b0.generators)
+            records[0] = records[0]._replace(b0_generators=gens)
+            new_b0 = _mark_subgroup(self.groups[0], gens, "stage 0.b0")
+        out = SystemPrefix(
+            tuple(records), self.groups, self.homs, tuple(marks), new_b0, self.mode, self.dense_bound
+        )
+        out._kernels.update(self._kernels)
+        return out
 
 
 def _perm_from_row(row: object, degree: int, where: str) -> Permutation:
@@ -179,15 +189,7 @@ def _records_from_json(data: object) -> tuple[StageRecord, ...]:
         if "b0" in st:
             b_gens = _perm_block(st["b0"], degree, f"{where}.b0")
 
-        records.append(
-            StageRecord(
-                degree=degree,
-                generators=gens,
-                images=images,
-                a_generators=a_gens,
-                b0_generators=b_gens,
-            )
-        )
+        records.append(StageRecord(degree, gens, images, a_gens, b_gens))
         prev_degree = degree
     return tuple(records)
 
@@ -266,15 +268,7 @@ def _assemble(
     if records[0].b0_generators is not None:
         b0 = _mark_subgroup(groups[0], records[0].b0_generators, "stage 0.b0")
 
-    return SystemPrefix(
-        records=records,
-        groups=tuple(groups),
-        homs=tuple(homs),
-        a_marks=tuple(a_marks),
-        b0=b0,
-        mode=mode,
-        dense_bound=dense_bound,
-    )
+    return SystemPrefix(records, tuple(groups), tuple(homs), tuple(a_marks), b0, mode, dense_bound)
 
 
 def parse_system(

@@ -9,7 +9,6 @@ maximal element order separates the two types.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -29,17 +28,24 @@ class SimpleGroupRow(NamedTuple):
     multiplier_order: int
 
 
-@dataclass(frozen=True, eq=False)
 class SimpleTypeId:
-    """Label for the isomorphism type of a finite simple group.
+    """Immutable label for the isomorphism type of a finite simple group.
 
     Two ids are equal exactly when order and fingerprint agree; the name is a
-    human-readable synonym derived from them.
+    human-readable synonym derived from them. A plain class rather than a
+    named tuple, so that != follows the == below.
     """
 
-    name: str
-    order: int
-    fingerprint: tuple[tuple[int, int], ...]
+    __slots__ = ("name", "order", "fingerprint")
+
+    def __init__(self, name: str, order: int, fingerprint: tuple[tuple[int, int], ...]):
+        for field, value in zip(self.__slots__, (name, order, fingerprint)):
+            object.__setattr__(self, field, value)
+
+    def __setattr__(self, name: str, _value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of SimpleTypeId")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimpleTypeId):

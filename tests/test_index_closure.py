@@ -1,7 +1,8 @@
 """Normal closure, commutator subgroups, conjugacy classes and the normal
 lattice on the element index, against the permutation-closure versions they
-replaced and against brute force; and the composed rows of the index against
-product rows."""
+replaced and against brute force; the composed rows of the index against
+product rows; and the coset closure of ElementIndex.extend against the
+breadth-first closure it replaced."""
 
 import random
 from pathlib import Path
@@ -36,6 +37,41 @@ def _extend_closure(have, gens, new_gen):
                     have.add(y)
                     fresh.append(y)
         frontier = fresh
+
+
+def reference_extend(index, h, gens, j):
+    """<H, elems[j]> as ElementIndex.extend closed it before: breadth-first
+    from h over the right rows of gens and j."""
+    new = index.right_row(j)
+    rows = [index.right_row(i) for i in gens]
+    rows.append(new)
+    have = set(h)
+    frontier = [k for k in (new[i] for i in h) if k not in have]
+    have.update(frontier)
+    while frontier:
+        fresh = []
+        for i in frontier:
+            for row in rows:
+                k = row[i]
+                if k not in have:
+                    have.add(k)
+                    fresh.append(k)
+        frontier = fresh
+    return frozenset(have)
+
+
+def assert_extend_matches_reference(g, rng, name=""):
+    """Grow random subgroups one position at a time; on the way, extend each
+    by random positions, inside it or not, and compare with the reference."""
+    index = g.element_index()
+    n = len(index.elems)
+    for _ in range(6):
+        h, gens = frozenset([0]), []
+        for j in rng.sample(range(n), min(n, 3)):
+            for k in rng.sample(range(n), min(n, 6)):
+                got = index.extend(h, gens, k)
+                assert got == reference_extend(index, h, gens, k), (name, gens, k)
+            h, gens = index.extend(h, gens, j), gens + [j]
 
 
 def reference_normal_closure(parent, seeds):
@@ -162,3 +198,22 @@ def test_composed_rows_equal_product_rows(small_corpus):
             assert index.right_row(j) == tuple(pos[x * t] for x in elems), (name, j)
         for j, t in enumerate(elems):
             assert index.conj_row(j) == tuple(pos[x ** t] for x in elems), (name, j)
+
+
+def test_extend_matches_reference_on_corpus(small_corpus):
+    rng = random.Random(7)
+    for name, g in small_corpus.items():
+        assert_extend_matches_reference(g, rng, name)
+
+
+def test_extend_matches_reference_on_tower_stages():
+    rng = random.Random(8)
+    for name, g in tower_stages():
+        assert_extend_matches_reference(g, rng, name)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_extend_matches_reference_on_random_groups(seed):
+    rng = random.Random(seed)
+    assert_extend_matches_reference(_relabelled_subgroup(rng), rng)

@@ -7,6 +7,7 @@ from jicert import (
     Permutation,
     UnknownGroupError,
     build_wreath_tower,
+    derive_critical_marks,
     parse_system,
     serialize_system,
     subgroup_generated,
@@ -219,6 +220,27 @@ def test_with_marks_keeps_mode_and_dense_bound():
     marked = prefix.with_marks({0: prefix.groups[0]})
     assert [g.mode for g in marked.groups] == ["dense", "chain", "chain"]
     assert (marked.mode, marked.dense_bound) == ("auto", 4)
+
+
+def test_with_marks_reuses_groups_maps_and_kernels(monkeypatch):
+    from jicert import prefixes
+
+    calls = []
+    real = prefixes.graph_chain
+    monkeypatch.setattr(prefixes, "graph_chain", lambda *args: calls.append(args) or real(*args))
+    prefix = build_wreath_tower([("S3", 3)], 2)
+    assert len(calls) == 1
+    kernel = prefix.kernel(1)
+    derived = derive_critical_marks(prefix)
+    assert len(calls) == 1
+    assert all(a is b for a, b in zip(derived.groups, prefix.groups))
+    assert derived.homs is prefix.homs
+    assert derived.kernel(1) is kernel
+    assert (derived.mode, derived.dense_bound) == (prefix.mode, prefix.dense_bound)
+    # the same marks as a prefix assembled afresh from the new records
+    again = parse_system(serialize_system(derived))
+    assert again.a_marks == derived.a_marks and again.b0 == derived.b0
+    assert [m.generators for m in again.a_marks] == [m.generators for m in derived.a_marks]
 
 
 def test_build_wreath_tower_two_stages():

@@ -1,0 +1,147 @@
+"""Start-up without dataclasses: a bare `import jicert.cli` loads neither
+dataclasses nor inspect, and the value types that were dataclasses keep
+their behaviour as named tuples and slotted classes."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from jicert import parse_system
+from jicert.certifier import (
+    CertifyOptions,
+    CheckResult,
+    ClassCountReport,
+    EpVerdict,
+    StageVerdict,
+    SystemVerdict,
+)
+from jicert.classdata import SchurClosureVerdict, SchurTable, SimpleClass
+from jicert.prefixes import StageRecord
+from jicert.simples import SimpleTypeId
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = Path(__file__).parent / "data"
+A5_PRINT = ((1, 1), (2, 15), (3, 20), (5, 24))
+
+
+def test_cli_import_loads_no_dataclasses():
+    code = "import sys, jicert.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+def test_simple_type_id_inequality_follows_equality():
+    a = SimpleTypeId(name="A5", order=60, fingerprint=A5_PRINT)
+    b = SimpleTypeId(name="PSL(2,5)", order=60, fingerprint=A5_PRINT)
+    c = SimpleTypeId.cyclic(5)
+    for x, y in ((a, b), (a, c), (a, a), (c, SimpleTypeId.cyclic(5))):
+        assert (x != y) == (not x == y)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != c and not a == c
+    assert repr(a) == "SimpleTypeId(A5, order=60)"
+
+
+def _prefix():
+    return parse_system((DATA / "s4_s3_prefix.json").read_text())
+
+
+def _samples():
+    cls = SimpleClass(frozenset([SimpleTypeId.cyclic(2)]))
+    check = CheckResult("pass", note="ok")
+    return [
+        (check, "CheckResult(status='pass', witness=None, note='ok')"),
+        (
+            ClassCountReport(member_names=("C2",), counts=(1, 2), strictly_increasing=True),
+            "ClassCountReport(member_names=('C2',), counts=(1, 2), strictly_increasing=True)",
+        ),
+        (
+            SystemVerdict(stages=(), summary="s", limit_claim="l"),
+            "SystemVerdict(stages=(), summary='s', limit_claim='l', class_counts=None)",
+        ),
+        (
+            CertifyOptions(wilson=True),
+            "CertifyOptions(wilson=True, commuting_conjugates=False, strengthened=False, "
+            "subgroup_bound=2000, count_class=None)",
+        ),
+        (
+            EpVerdict(status="proper", note="n"),
+            "EpVerdict(status='proper', note='n', ep_order=None, ep_index=None)",
+        ),
+        (cls, "SimpleClass(members=frozenset({SimpleTypeId(C2, order=2)}))"),
+        (SchurTable(rows=(), order_bound=60), "SchurTable(rows=(), order_bound=60)"),
+        (
+            SchurClosureVerdict(ok=True, missing=(), order_bound=60),
+            "SchurClosureVerdict(ok=True, missing=(), order_bound=60)",
+        ),
+        (
+            StageRecord(degree=1, generators=()),
+            "StageRecord(degree=1, generators=(), images=None, a_generators=None, "
+            "b0_generators=None)",
+        ),
+        (
+            StageVerdict(stage_index=0, order=6, degree=3, checks={"x": check}),
+            f"StageVerdict(stage_index=0, order=6, degree=3, checks={{'x': {check!r}}})",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("value, text", _samples())
+def test_repr_keeps_the_field_form(value, text):
+    assert repr(value) == text
+
+
+def test_system_prefix_repr_names_its_fields():
+    text = repr(_prefix())
+    assert text.startswith("SystemPrefix(records=(StageRecord(degree=3, ")
+    for field in ("groups", "homs", "a_marks", "b0"):
+        assert f", {field}=" in text
+    assert text.endswith(", mode='auto', dense_bound=2000000)")
+    assert "_kernels" not in text
+
+
+def test_frozen_types_refuse_assignment():
+    frozen = [value for value, _ in _samples() if not isinstance(value, StageVerdict)]
+    frozen += [SimpleTypeId.cyclic(3), _prefix()]
+    for value in frozen:
+        field = value._fields[0] if hasattr(value, "_fields") else type(value).__slots__[0]
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = None
+        assert getattr(value, field) is before
+
+
+def test_stage_verdicts_do_not_share_checks():
+    first = StageVerdict(stage_index=0, order=6, degree=3)
+    second = StageVerdict(stage_index=0, order=6, degree=3)
+    assert first.checks is not second.checks
+    assert first == second
+    first.checks["x"] = CheckResult("pass")
+    assert second.checks == {}
+    assert first != second
+    first.order = 7  # stage verdicts stay mutable
+    assert first.order == 7
+    with pytest.raises(TypeError):
+        hash(first)
+
+
+def test_system_prefix_equality_and_hash_follow_records():
+    first, second = _prefix(), _prefix()
+    assert first.groups[0] is not second.groups[0]
+    assert first == second and hash(first) == hash(second)
+    marked = first.with_marks({}, b0=first.groups[0])
+    assert marked.records != first.records
+    assert marked != first
+    assert first != first.records
