@@ -377,8 +377,6 @@ def check_critical_stage(
         raise NotNormalError("the deeper mark is not normal in the source stage")
     _require_normal(g, a_n, "the top mark")
     _require_normal(g, b_n, "the bottom mark")
-    if b_n.order == g.order:
-        raise ValueError("the bottom mark must be a proper subgroup")
 
     sv = StageVerdict(stage_index=stage_index, order=g.order, degree=g.degree)
 

@@ -3,7 +3,7 @@
 Exit codes: 0 all requested checks pass, 1 some check fails, 2 the input
 could not be used (bad file, bad format, wrong mode), 3 every non-passing
 check is merely bounded, so the run is inconclusive rather than failed,
-4 an internal cross-check failed: a defect in jicert, not in the input.
+4 a defect in jicert: a failed cross-check or an unexpected exception.
 """
 
 from __future__ import annotations
@@ -217,6 +217,10 @@ def main(argv=None) -> int:
     except JicertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        sys.__excepthook__(type(exc), exc, exc.__traceback__)
+        return 4
 
 
 if __name__ == "__main__":

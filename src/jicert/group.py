@@ -55,7 +55,8 @@ class ElementIndex:
     permutation products. Every other row is composed along the path of its
     element in a breadth-first spanning tree over positions, one generator
     row at a time and in C, since row(a * b)[i] = row(b)[row(a)[i]]. A row is
-    built on first use and kept; the intermediate rows of its path are not.
+    kept only for a position used as a generator (of the group or of a
+    closure, or a conjugator), never for a coset representative or a path.
     The conjugation row of position j maps i to the position of
     elems[i] ** elems[j]; it is composed from the right row of j and the
     inversion map, which is built once with one inverse per element.
@@ -137,21 +138,18 @@ class ElementIndex:
     def extend(self, h: frozenset[int], gens: Sequence[int], j: int) -> frozenset[int]:
         """Positions of <H, elems[j]>, where h holds the positions of H = <gens>.
 
-        A union of right cosets of H (Dimino's method): r * s, for each coset
-        representative r and each s among gens and elems[j], lies in a coset
-        already found or starts a new one, H * e, read off e's right row.
+        A union of right cosets of H (Dimino's method), each a tuple headed by
+        its representative r: for s among gens and elems[j], r * s lies in a
+        known coset, or H * r * s is new: H * r pushed through s's right row.
         """
-        rows = [self.right_row(i) for i in gens]
-        rows.append(self.right_row(j))
-        coset = itemgetter(*h) if len(h) > 1 else lambda row: (row[0],)
+        rows = [self.right_row(i) for i in (*gens, j)]
         have = set(h)
-        reps = [0]
-        for r in reps:
+        cosets = [(0, *h)]
+        for coset in cosets:
             for row in rows:
-                e = row[r]
-                if e not in have:
-                    have.update(coset(self.right_row(e)))
-                    reps.append(e)
+                if row[coset[0]] not in have:
+                    cosets.append(itemgetter(*coset)(row))
+                    have.update(cosets[-1])
         return frozenset(have)
 
     def normal_closure(

@@ -45,6 +45,7 @@ from jicert.certifier import (
     check_strengthened_stage,
 )
 from jicert.prefixes import SystemPrefix
+from test_report_cli import WHOLE_GROUP_BOTTOM_DOCS
 
 DATA = Path(__file__).parent / "data"
 
@@ -210,8 +211,19 @@ def test_critical_stage_rejects_bottom_outside_top(golden_prefix):
     swapped = {"top": res.witness["bottom"], "bottom": res.witness["top"]}
     for junk in ({}, {"top": 5, "bottom": "x"}, swapped):
         assert not revalidate_witness(CHECK_CRITICAL_PAIR, junk, **context)
-    with pytest.raises(ValueError, match="proper"):
-        check_critical_stage(p.homs[0], p.a_marks[1], p.a_marks[0], p.groups[0])
+
+
+@pytest.mark.parametrize("doc", WHOLE_GROUP_BOTTOM_DOCS.values(), ids=WHOLE_GROUP_BOTTOM_DOCS)
+def test_critical_stage_whole_group_bottom_fails(doc):
+    """A bottom mark equal to the whole stage group is a degenerate pair, not
+    an error: the pair check fails with a witness that revalidates."""
+    p = parse_system(json.dumps(doc))
+    res = certify_system(p).stages[0].checks[CHECK_CRITICAL_PAIR]
+    assert p.b0 == p.groups[0]
+    assert res.status == FAIL
+    assert res.note == "degenerate pair: top and bottom marks coincide"
+    context = dict(g=p.groups[0], a=p.a_marks[0], b=p.b0)
+    assert revalidate_witness(CHECK_CRITICAL_PAIR, res.witness, **context)
 
 
 # -- commuting conjugates check -------------------------------------------------

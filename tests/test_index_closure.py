@@ -1,8 +1,8 @@
 """Normal closure, commutator subgroups, conjugacy classes and the normal
 lattice on the element index, against the permutation-closure versions they
 replaced and against brute force; the composed rows of the index against
-product rows; and the coset closure of ElementIndex.extend against the
-breadth-first closure it replaced."""
+product rows; the coset closure of ElementIndex.extend against the
+breadth-first closure it replaced; and the rows the index keeps."""
 
 import random
 from pathlib import Path
@@ -10,7 +10,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from jicert import PermGroup, parse_system, subgroup_generated
+from jicert import PermGroup, alternating, is_simple, parse_system, subgroup_generated
 from jicert.group import (
     _normalize_gens,
     commutator_subgroup,
@@ -18,7 +18,7 @@ from jicert.group import (
     normal_closure,
 )
 from jicert.perm import comm
-from jicert.lattice import normal_subgroups
+from jicert.lattice import _cyclic_generators, all_subgroups, normal_subgroups
 from test_sweep import _relabelled_subgroup, tuples
 
 DATA = Path(__file__).parent / "data"
@@ -217,3 +217,22 @@ def test_extend_matches_reference_on_tower_stages():
 def test_extend_matches_reference_on_random_groups(seed):
     rng = random.Random(seed)
     assert_extend_matches_reference(_relabelled_subgroup(rng), rng)
+
+
+def test_closures_keep_no_row_per_coset_representative():
+    """is_simple on A8 (order 20160) runs normal closures whose cosets are
+    pushed through generator rows; a row per coset representative would
+    leave thousands of 20160-entry rows behind."""
+    g = alternating(8)
+    assert is_simple(g)
+    assert len(g.element_index()._right) <= 64
+
+
+def test_subgroup_sweep_keeps_only_generator_rows(small_corpus):
+    for name in ("S5", "C2xA4", "D4oC4"):
+        g = small_corpus[name]
+        fresh = PermGroup.from_generators(g.degree, g.generators)
+        all_subgroups.__wrapped__(fresh)  # past the cache, so the sweep runs here
+        index = fresh.element_index()
+        allowed = {0, *index.gens, *_cyclic_generators(index)}
+        assert set(index._right) <= allowed, name

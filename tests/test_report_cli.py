@@ -18,8 +18,10 @@ from jicert import (
     make_report,
     parse_report,
     parse_system,
+    revalidate_witness,
     serialize_system,
 )
+from jicert import cli
 from jicert.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -47,6 +49,26 @@ FAILING_DOC = {
             "a": [[2, 3, 0, 1]],
         },
     ],
+}
+
+S3_GENS = [[1, 2, 0], [1, 0, 2]]
+
+# valid prefixes whose bottom mark b0 is the whole stage-0 group
+WHOLE_GROUP_BOTTOM_DOCS = {
+    "s3": {
+        "format": "jicert-system/1",
+        "stages": [
+            {"degree": 3, "generators": S3_GENS, "a": S3_GENS, "b0": S3_GENS},
+            {"degree": 3, "generators": S3_GENS, "images": S3_GENS, "a": S3_GENS},
+        ],
+    },
+    "trivial": {
+        "format": "jicert-system/1",
+        "stages": [
+            {"degree": 1, "generators": [[0]], "a": [[0]], "b0": [[0]]},
+            {"degree": 1, "generators": [[0]], "images": [[0]], "a": [[0]]},
+        ],
+    },
 }
 
 
@@ -177,6 +199,21 @@ def test_check_exit_fail(tmp_path, capsys):
     assert code == 1
     assert "centralizer_product: fail" in out
     assert "witness:" in out
+
+
+@pytest.mark.parametrize("doc", WHOLE_GROUP_BOTTOM_DOCS.values(), ids=WHOLE_GROUP_BOTTOM_DOCS)
+def test_check_whole_group_bottom_fails(tmp_path, capsys, doc):
+    path, out = tmp_path / "tower.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", str(path), "--json", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert "critical_pair: fail" in captured.out
+    res = parse_report(out.read_bytes())["stages"][0]["checks"]["critical_pair"]
+    assert res["note"] == "degenerate pair: top and bottom marks coincide"
+    p = parse_system(path.read_text())
+    assert revalidate_witness("critical_pair", res["witness"], g=p.groups[0], a=p.a_marks[0], b=p.b0)
 
 
 def test_check_exit_bounded(tmp_path, capsys):
@@ -369,3 +406,14 @@ def test_check_internal_defect_exits_4(monkeypatch, capsys, target):
     monkeypatch.setattr(target, _raise_defect)
     assert main(CHECK_ARGS) == 4
     assert capsys.readouterr().err == "internal error: cross-check failed\n"
+
+
+def test_check_unexpected_exception_exits_4(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "certify_system", boom)
+    assert main(CHECK_ARGS) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: boom\n")
+    assert "Traceback (most recent call last)" in err
