@@ -173,12 +173,15 @@ def _require_normal(g: PermGroup, sub: PermGroup, what: str) -> None:
 # -- conjugate families ------------------------------------------------------
 
 
-def _conjugates(g: PermGroup, u: PermGroup) -> list[PermGroup]:
-    """All distinct conjugates of u under g, u first.
+def _conjugates(
+    g: PermGroup, u: PermGroup
+) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    """All distinct conjugates of u under g, u first, each as its position set
+    in g's element index and the positions of its generators.
 
-    The orbit of u's position set in g's element index under the conjugation
-    rows of g's generators; each conjugate's generators are the images of
-    u's generators.
+    The orbit of u's position set under the conjugation rows of g's
+    generators; each conjugate's generators are the images of u's
+    generators.
     """
     index = g.element_index()
     rows = [index.conj_row(t) for t in index.gens]
@@ -193,14 +196,16 @@ def _conjugates(g: PermGroup, u: PermGroup) -> list[PermGroup]:
             if w not in seen:
                 seen[w] = tuple(row[i] for i in seen[v])
                 frontier.append(w)
-    return [index.subgroup(w, gens) for w, gens in seen.items()]
+    return list(seen.items())
 
 
-def _pairwise_commute(subs: Sequence[PermGroup]) -> bool:
-    for i in range(len(subs)):
-        for j in range(i + 1, len(subs)):
-            for x in subs[i].generators:
-                for y in subs[j].generators:
+def _pairwise_commute(generator_lists: Sequence[Sequence[Permutation]]) -> bool:
+    """Whether every generator in each sequence commutes with every generator
+    in each later one."""
+    for i in range(len(generator_lists)):
+        for j in range(i + 1, len(generator_lists)):
+            for x in generator_lists[i]:
+                for y in generator_lists[j]:
                     if x * y != y * x:
                         return False
     return True
@@ -219,7 +224,10 @@ def _commuting_family(g: PermGroup, u: PermGroup) -> Optional[PermGroup]:
     key = u.canonical_key()
     if key not in memo:
         conjugates = _conjugates(g, u)
-        qualifies = len(conjugates) > 1 and _pairwise_commute(conjugates)
+        elems = g.element_index().elems
+        qualifies = len(conjugates) > 1 and _pairwise_commute(
+            [[elems[i] for i in gens] for _, gens in conjugates]
+        )
         memo[key] = normal_closure(g, u) if qualifies else None
     return memo[key]
 
@@ -280,7 +288,7 @@ def _no_central_factor_fails(
         f1.order < n.order
         and f2.order < n.order
         and a.is_subgroup_of(n)
-        and _pairwise_commute((f1, f2))
+        and _pairwise_commute((f1.generators, f2.generators))
         and n.is_normal_in(g)
         and join(g, f1, f2) == n
     )

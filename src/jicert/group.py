@@ -138,19 +138,26 @@ class ElementIndex:
     def extend(self, h: frozenset[int], gens: Sequence[int], j: int) -> frozenset[int]:
         """Positions of <H, elems[j]>, where h holds the positions of H = <gens>.
 
-        A union of right cosets of H (Dimino's method), each a tuple headed by
-        its representative r: for s among gens and elems[j], r * s lies in a
-        known coset, or H * r * s is new: H * r pushed through s's right row.
+        Dimino's method: the union of the right cosets of H that the right
+        rows of gens and elems[j] reach from H itself.
         """
-        rows = [self.right_row(i) for i in (*gens, j)]
         have = set(h)
-        cosets = [(0, *h)]
-        for coset in cosets:
-            for row in rows:
-                if row[coset[0]] not in have:
-                    cosets.append(itemgetter(*coset)(row))
-                    have.update(cosets[-1])
+        _push_cosets((0, *h), [self.right_row(i) for i in (*gens, j)], have)
         return frozenset(have)
+
+    def cover_double_coset(
+        self, h: frozenset[int], gens: Sequence[int], j: int, covered: set[int]
+    ) -> None:
+        """Add the positions of H * elems[j] * H to covered, where h holds the
+        positions of H = <gens> and covered is a union of right cosets of H.
+
+        The right cosets of H that the rows of gens reach from H * elems[j],
+        which is h pushed through j's right row. Only the rows of j and of
+        H's generators are used.
+        """
+        start = itemgetter(0, *h)(self.right_row(j))
+        covered.update(start)
+        _push_cosets(start, [self.right_row(i) for i in gens], covered)
 
     def normal_closure(
         self,
@@ -192,6 +199,23 @@ class ElementIndex:
         )
         sub._sorted = tuple(elems[i] for i in ordered)
         return sub
+
+
+def _push_cosets(start: tuple[int, ...], rows: Sequence[tuple[int, ...]], have: set[int]) -> None:
+    """Add to have the right cosets of a subgroup H that the rows reach from
+    the coset start.
+
+    have is a union of right cosets of H that holds start. Each coset H * r
+    is a tuple headed by its representative r, so a one-element H still
+    gives a tuple. For the row of s, r * s lies in a coset in have, or
+    H * r * s is new: the coset H * r pushed through the row.
+    """
+    cosets = [start]
+    for coset in cosets:
+        for row in rows:
+            if row[coset[0]] not in have:
+                cosets.append(itemgetter(*coset)(row))
+                have.update(cosets[-1])
 
 
 class PermGroup:

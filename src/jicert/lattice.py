@@ -398,6 +398,11 @@ def all_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
     first out, with x in sorted order, and each keeps the generators
     H.generators + (x,) of its first discovery, so the output (generator
     lists included) does not depend on how the closures are computed.
+
+    <H, y> = <H, x> for every y in the double coset H x H, so once <H, x> is
+    closed the rest of H x H is skipped: a skipped y would only close a
+    subgroup already found, and the first discovery of every subgroup, with
+    its generators, is the same as without the skip.
     Exponential in general; callers gate on the group order.
     """
     index = g.element_index()
@@ -408,13 +413,15 @@ def all_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
     while frontier:
         h = frontier.pop()
         gens = found[h]
+        covered = set(h)
         for j in cyclic:
-            if j in h:
+            if j in covered:
                 continue
             m = index.extend(h, gens, j)
             if m not in found:
                 found[m] = gens + (j,)
                 frontier.append(m)
+            index.cover_double_coset(h, gens, j, covered)
     return _sorted_groups(index.subgroup(m, gens) for m, gens in found.items())
 
 

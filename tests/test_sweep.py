@@ -1,23 +1,31 @@
-"""The indexed subgroup sweep against the permutation-closure sweep it replaced,
-and the conjugate families of the certifier against brute force."""
+"""The indexed subgroup sweep against the sweeps it replaced (a fresh
+permutation closure per extension, and the index sweep without double-coset
+pruning), and the conjugate families of the certifier against brute force."""
 
 import random
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from jicert import (
     PermGroup,
     Permutation,
+    build_wreath_tower,
     cyclic,
     dihedral,
     direct_product,
+    parse_system,
     quaternion8,
     subgroup_generated,
     symmetric,
 )
 from jicert.certifier import _commuting_family, _conjugates
-from jicert.lattice import all_subgroups
+from jicert.group import ElementIndex
+from jicert.lattice import _cyclic_generators, _sorted_groups, all_subgroups
+
+DATA = Path(__file__).parent / "data"
 
 # The reference sweep takes 8.5 s on S5 and minutes on A6, so it runs on the
 # corpus groups up to this order.
@@ -47,6 +55,27 @@ def reference_all_subgroups(g):
     return sorted(found.values(), key=lambda s: (s.order, s.canonical_key()))
 
 
+def reference_index_sweep(g):
+    """Cyclic extension on g's element index, closing <H, x> for every offered
+    x outside H: the sweep as it ran before double-coset pruning."""
+    index = g.element_index()
+    trivial = frozenset([0])
+    found = {trivial: ()}
+    frontier = [trivial]
+    cyclic_gens = _cyclic_generators(index)
+    while frontier:
+        h = frontier.pop()
+        gens = found[h]
+        for j in cyclic_gens:
+            if j in h:
+                continue
+            m = index.extend(h, gens, j)
+            if m not in found:
+                found[m] = gens + (j,)
+                frontier.append(m)
+    return _sorted_groups(index.subgroup(m, gens) for m, gens in found.items())
+
+
 def signature(subs):
     return [(s.order, s.elements(), s.generators) for s in subs]
 
@@ -63,6 +92,51 @@ def test_sweep_matches_reference_on_corpus(small_corpus):
         assert signature(all_subgroups(g)) == signature(reference_all_subgroups(g)), name
         checked += 1
     assert checked >= 25
+
+
+def test_pruned_sweep_matches_index_sweep_on_corpus(small_corpus):
+    for name, g in small_corpus.items():
+        want = signature(reference_index_sweep(g))
+        assert signature(all_subgroups.__wrapped__(g)) == want, name
+
+
+def _certify_sweep_stage():
+    """Stage 1 of the certify-sweep tower: C2 wr S3 of order 48, marked with
+    the preimage of A3."""
+    prefix = build_wreath_tower([("S3", 3), ("C2", 2)], 2)
+    s3 = prefix.groups[0]
+    a3 = subgroup_generated(s3, [x for x in s3.generators if x.order() == 3])
+    mark = prefix.homs[0].preimage(a3)
+    marked = prefix.with_marks({0: s3, 1: mark}, b0=a3)
+    assert (marked.groups[1].order, mark.order) == (48, 24)
+    return marked.groups[1]
+
+
+@pytest.mark.parametrize("tower", ["s4_s3_prefix.json", "cyclic2_tower.json", "certify-sweep"])
+def test_pruned_sweep_matches_index_sweep_on_towers(tower):
+    if tower == "certify-sweep":
+        stages = [_certify_sweep_stage()]
+    else:
+        stages = parse_system((DATA / tower).read_text()).groups
+    for n, g in enumerate(stages):
+        want = signature(reference_index_sweep(g))
+        assert signature(all_subgroups.__wrapped__(g)) == want, (tower, n)
+
+
+@pytest.mark.parametrize("name,bound", [("S4", 120), ("S5", 1600)])
+def test_pruned_sweep_closes_fewer_subgroups(small_corpus, monkeypatch, name, bound):
+    # 392 closures on S4 and 8031 on S5 without double-coset pruning
+    calls = []
+    original = ElementIndex.extend
+
+    def counting(self, h, gens, j):
+        calls.append(j)
+        return original(self, h, gens, j)
+
+    monkeypatch.setattr(ElementIndex, "extend", counting)
+    g = small_corpus[name]
+    all_subgroups.__wrapped__(PermGroup.from_generators(g.degree, g.generators))
+    assert 0 < len(calls) <= bound, name
 
 
 def _relabelled_subgroup(rng):
@@ -83,20 +157,27 @@ def test_sweep_matches_reference_on_random_groups(seed):
     assert signature(all_subgroups(g)) == signature(reference_all_subgroups(g))
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_pruned_sweep_matches_index_sweep_on_random_groups(seed):
+    g = _relabelled_subgroup(random.Random(seed))
+    assert signature(all_subgroups.__wrapped__(g)) == signature(reference_index_sweep(g))
+
+
 def test_conjugates_match_brute_force(small_corpus):
     for name, g in small_corpus.items():
         if g.order > 120:
             continue
         elements = tuples(g)
+        images = [x.images for x in g.element_index().elems]
         for u in all_subgroups(g):
             family = _conjugates(g, u)
-            assert family[0].elements() == u.elements(), name
-            got = [tuples(c) for c in family]
+            got = [frozenset(images[i] for i in c) for c, _gens in family]
+            assert got[0] == tuples(u), name
             assert len(set(got)) == len(got), name
             assert set(got) == oracles.conjugate_subgroups(elements, tuples(u)), name
-            for c in family:
-                gens = [x.images for x in c.generators]
-                assert oracles.closure_gens(g.degree, gens) == tuples(c), name
+            for c, (_, gens) in zip(got, family):
+                assert oracles.closure_gens(g.degree, [images[i] for i in gens]) == c, name
 
 
 def test_commuting_family_memo_matches_fresh_computation(small_corpus):
