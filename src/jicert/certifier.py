@@ -22,7 +22,7 @@ re-check agree by construction.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .classdata import SchurTable, SimpleClass, count_class_factors
 from .errors import (
@@ -45,14 +45,13 @@ from .group import (
     normal_closure,
     subgroup_generated,
 )
-from .hom import GroupHom, quotient
+from .hom import GroupHom
 from .lattice import (
+    _chief_factors,
     all_subgroups,
     central_decomposition,
-    chief_series,
     critical_pair_fails,
     critical_pairs,
-    decompose_char_simple,
     is_critical_pair,
     maximal_normal_subgroups,
     minimal_normal_subgroups,
@@ -173,63 +172,60 @@ def _require_normal(g: PermGroup, sub: PermGroup, what: str) -> None:
 # -- conjugate families ------------------------------------------------------
 
 
-def _conjugates(
-    g: PermGroup, u: PermGroup
-) -> list[tuple[frozenset[int], tuple[int, ...]]]:
-    """All distinct conjugates of u under g, u first, each as its position set
-    in g's element index and the positions of its generators.
+def _conjugates(g: PermGroup, u: PermGroup) -> Iterator[tuple[frozenset[int], tuple[int, ...]]]:
+    """The distinct conjugates of u under g other than u, one at a time, each
+    as its position set in g's element index and the positions of its
+    generators.
 
     The orbit of u's position set under the conjugation rows of g's
-    generators; each conjugate's generators are the images of u's
-    generators.
+    generators, handed out as it is found; each conjugate's generators are
+    the images of u's generators.
     """
     index = g.element_index()
     rows = [index.conj_row(t) for t in index.gens]
     pos = index.pos
     start = frozenset(pos[x] for x in u.elements())
-    seen = {start: tuple(pos[x] for x in u.generators)}
-    frontier = [start]
+    seen = {start}
+    frontier = [(start, tuple(pos[x] for x in u.generators))]
     while frontier:
-        v = frontier.pop()
+        v, gens = frontier.pop()
         for row in rows:
             w = frozenset([row[i] for i in v])
             if w not in seen:
-                seen[w] = tuple(row[i] for i in seen[v])
-                frontier.append(w)
-    return list(seen.items())
+                seen.add(w)
+                conjugate = (w, tuple(row[i] for i in gens))
+                frontier.append(conjugate)
+                yield conjugate
 
 
-def _pairwise_commute(generator_lists: Sequence[Sequence[Permutation]]) -> bool:
-    """Whether every generator in each sequence commutes with every generator
-    in each later one."""
-    for i in range(len(generator_lists)):
-        for j in range(i + 1, len(generator_lists)):
-            for x in generator_lists[i]:
-                for y in generator_lists[j]:
-                    if x * y != y * x:
-                        return False
-    return True
+def _commute(xs: Sequence[Permutation], ys: Sequence[Permutation]) -> bool:
+    """Whether every x in xs commutes with every y in ys."""
+    return all(x * y == y * x for x in xs for y in ys)
 
 
 def _commuting_family(g: PermGroup, u: PermGroup) -> Optional[PermGroup]:
     """The normal closure of u in g when u is non-normal and its distinct
     conjugates commute elementwise; None otherwise.
 
-    Decided once per stage and subgroup: the answer is kept on g's element
-    index under u's canonical key, so the sweeps of wilson_ii (one per normal
-    subgroup), commuting_conjugates and revalidate_witness share it, and each
-    qualifying subgroup is closed once.
+    Distinct conjugates u^x and u^y commute exactly when u and u^(y x^-1)
+    do, so u is tested against each other conjugate, and the walk stops at
+    the first one that does not commute with it. Decided once per stage and
+    subgroup: the answer is kept on g's element index under u's element set,
+    so the sweeps of wilson_ii (one per normal subgroup), commuting_conjugates
+    and revalidate_witness share it, and each qualifying subgroup is closed
+    once.
     """
-    memo = g.element_index().commuting_closures
-    key = u.canonical_key()
-    if key not in memo:
-        conjugates = _conjugates(g, u)
-        elems = g.element_index().elems
-        qualifies = len(conjugates) > 1 and _pairwise_commute(
-            [[elems[i] for i in gens] for _, gens in conjugates]
+    index = g.element_index()
+    key = u.elements()
+    if key not in index.commuting_closures:
+        elems = index.elems
+        verdicts = (
+            _commute(u.generators, [elems[i] for i in gens]) for _, gens in _conjugates(g, u)
         )
-        memo[key] = normal_closure(g, u) if qualifies else None
-    return memo[key]
+        # non-normal (a first other conjugate) and commuting with every other one
+        qualifies = next(verdicts, False) and all(verdicts)
+        index.commuting_closures[key] = normal_closure(g, u) if qualifies else None
+    return index.commuting_closures[key]
 
 
 def _centralizer_product(g: PermGroup, p: PermGroup) -> PermGroup:
@@ -288,7 +284,7 @@ def _no_central_factor_fails(
         f1.order < n.order
         and f2.order < n.order
         and a.is_subgroup_of(n)
-        and _pairwise_commute((f1.generators, f2.generators))
+        and _commute(f1.generators, f2.generators)
         and n.is_normal_in(g)
         and join(g, f1, f2) == n
     )
@@ -572,13 +568,10 @@ def check_ep_proper(
     if g.is_trivial():
         return EpVerdict(NOT_APPLICABLE, "the trivial group has no chief factors")
 
-    series = chief_series(g)
     layers = []
     factor_ids = []
-    for lo, hi in zip(series, series[1:]):
-        q, _ = quotient(hi, lo)
-        tid, mult = decompose_char_simple(q)
-        factor_ids.append((tid, mult))
+    for lo, hi, tid, _mult in _chief_factors(g):
+        factor_ids.append(tid)
         if tid.is_cyclic and tid.order == p:
             layers.append((lo, hi))
 
@@ -593,7 +586,7 @@ def check_ep_proper(
                 f"a chief factor of order {hi.order // lo.order} is not central",
             )
     seen = set()
-    for tid, _ in factor_ids:
+    for tid in factor_ids:
         if tid.is_cyclic or tid.name in seen:
             continue
         seen.add(tid.name)

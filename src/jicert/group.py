@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from operator import attrgetter, itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .chain import StabilizerChain
 from .errors import (
@@ -47,8 +47,8 @@ class ElementIndex:
     """The elements of a dense group sorted by image tuple, and their positions.
 
     A subgroup is a set of positions. Sorting positions sorts elements by
-    image tuple, so sorted position tuples order subgroups as their canonical
-    keys do; the identity sorts first, at position 0.
+    image tuple, so sorted position lists order subgroups as their sorted
+    element lists do; the identity sorts first, at position 0.
 
     The right row of position j maps each position i to the position of
     elems[i] * elems[j]. Only the generators' rows are built with
@@ -80,9 +80,9 @@ class ElementIndex:
         self.degree = degree
         self.elems = elems
         self.pos = pos = {x: i for i, x in enumerate(elems)}
-        # canonical key of a subgroup -> its normal closure if it is non-normal
+        # element set of a subgroup -> its normal closure if it is non-normal
         # with pairwise-commuting conjugates, else None; filled by the certifier
-        self.commuting_closures: dict[tuple, PermGroup | None] = {}
+        self.commuting_closures: dict[frozenset[Permutation], PermGroup | None] = {}
         # positions of the generators
         self.gens = tuple(pos[t] for t in gens)
         self._gen_rows = [tuple(pos[x * t] for x in elems) for t in gens]
@@ -200,6 +200,13 @@ class ElementIndex:
         sub._sorted = tuple(elems[i] for i in ordered)
         return sub
 
+    def subgroups(self, found: Mapping[frozenset[int], Sequence[int]]) -> tuple[PermGroup, ...]:
+        """The groups on found's closed position sets, generated as found says,
+        sorted by order and then by sorted element list."""
+        return tuple(
+            self.subgroup(m, found[m]) for m in sorted(found, key=lambda m: (len(m), sorted(m)))
+        )
+
 
 def _push_cosets(start: tuple[int, ...], rows: Sequence[tuple[int, ...]], have: set[int]) -> None:
     """Add to have the right cosets of a subgroup H that the rows reach from
@@ -234,7 +241,6 @@ class PermGroup:
         "_chain",
         "_order",
         "_classes",
-        "_key",
         "_index",
     )
 
@@ -247,7 +253,6 @@ class PermGroup:
         self._sorted = None
         self._order = None
         self._classes = None
-        self._key = None
         self._index = None
 
     # -- factories ----------------------------------------------------------
@@ -361,12 +366,6 @@ class PermGroup:
         return all(
             self.contains(s ** g) for s in self.generators for g in other.generators
         )
-
-    def canonical_key(self) -> tuple:
-        """Sorted element tuple; the deterministic identity of a dense subgroup."""
-        if self._key is None:
-            self._key = tuple(p.images for p in self.sorted_elements())
-        return self._key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PermGroup):
@@ -602,7 +601,7 @@ def conjugacy_classes(g: PermGroup) -> tuple[tuple[Permutation, frozenset[Permut
     return g._classes
 
 
-def direct_product(a: PermGroup, b: PermGroup, dense_bound: int = DEFAULT_DENSE_BOUND) -> PermGroup:
+def direct_product(a: PermGroup, b: PermGroup) -> PermGroup:
     """A x B acting on the disjoint union of the two point sets."""
     da, db = a.degree, b.degree
     gens = []
@@ -610,13 +609,13 @@ def direct_product(a: PermGroup, b: PermGroup, dense_bound: int = DEFAULT_DENSE_
         gens.append(Permutation(tuple(g.images) + tuple(range(da, da + db))))
     for g in b.generators:
         gens.append(Permutation(tuple(range(da)) + tuple(da + i for i in g.images)))
-    prod = PermGroup.from_generators(da + db, gens, mode="auto", dense_bound=dense_bound)
+    prod = PermGroup.from_generators(da + db, gens, mode="auto")
     if prod.order != a.order * b.order:
         raise KernelBugError("direct product order mismatch")
     return prod
 
 
-def wreath_product(base: PermGroup, top: PermGroup, dense_bound: int = DEFAULT_DENSE_BOUND) -> PermGroup:
+def wreath_product(base: PermGroup, top: PermGroup) -> PermGroup:
     """base wr top in the imprimitive action on top.degree blocks.
 
     Point t*db + o is offset o in block t. The order is checked against
@@ -634,7 +633,7 @@ def wreath_product(base: PermGroup, top: PermGroup, dense_bound: int = DEFAULT_D
     for s in top.generators:
         gens.append(Permutation([s.images[t] * db + o for t in range(dt) for o in range(db)]))
     projected = base.order ** dt * top.order
-    w = PermGroup.from_generators(degree, gens, mode="auto", dense_bound=dense_bound)
+    w = PermGroup.from_generators(degree, gens, mode="auto")
     if w.order != projected:
         raise KernelBugError("wreath product order mismatch")
     return w

@@ -181,9 +181,7 @@ class GroupHom:
         return GroupHom(inner.source, self.target, images)
 
 
-def quotient(
-    g: PermGroup, n: PermGroup, dense_bound: int = DEFAULT_DENSE_BOUND
-) -> tuple[PermGroup, GroupHom]:
+def quotient(g: PermGroup, n: PermGroup) -> tuple[PermGroup, GroupHom]:
     """G/N in its regular action on right cosets, plus the projection.
 
     The action is by left translation, Nx -> N(gx): on right cosets of a
@@ -203,7 +201,7 @@ def quotient(
     if not n.is_normal_in(g):
         raise NotNormalError("quotient modulus must be normal")
     index = g.order // n.order
-    if index > dense_bound:
+    if index > DEFAULT_DENSE_BOUND:
         raise NeedsDenseModeError(f"quotient index {index} exceeds dense bound")
     n_elems = n.elements()
     elem_to_coset: dict[Permutation, int] = {}

@@ -1,15 +1,15 @@
 """Normal subgroup lattices, chief series, critical pairs, central decompositions.
 
 Everything here enumerates elements, so inputs must be dense-mode groups.
-All returned subgroup lists are sorted by (order, canonical element list),
-which makes every search in this module deterministic.
+All returned subgroup lists are sorted by order and then by sorted element
+list, which makes every search in this module deterministic.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import KernelBugError, NotNormalError
 from .group import (
@@ -37,17 +37,13 @@ class CriticalPair(NamedTuple):
     bottom: PermGroup
 
 
-def _sorted_groups(groups) -> tuple[PermGroup, ...]:
-    return tuple(sorted(groups, key=lambda s: (s.order, s.canonical_key())))
-
-
 def _proper_in(n: PermGroup, g: PermGroup) -> bool:
     return n.order < g.order
 
 
 @functools.lru_cache(maxsize=None)
 def normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
-    """All normal subgroups of g, sorted by (order, canonical element list).
+    """All normal subgroups of g, sorted by order and then by sorted element list.
 
     A subgroup is normal iff it is a union of conjugacy classes, so the lattice
     is generated by closing class representatives into the subgroups already
@@ -73,7 +69,7 @@ def normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
             if m not in found:
                 found[m] = kept
                 frontier.append(m)
-    return _sorted_groups(index.subgroup(m, kept) for m, kept in found.items())
+    return index.subgroups(found)
 
 
 def minimal_normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
@@ -82,7 +78,7 @@ def minimal_normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
     if g.is_trivial():
         raise ValueError("the trivial group has no nontrivial normal subgroup")
     nontrivial = [n for n in normal_subgroups(g) if not n.is_trivial()]
-    return _sorted_groups(
+    return tuple(
         n
         for n in nontrivial
         if not any(m.order < n.order and m.is_subgroup_of(n) for m in nontrivial)
@@ -96,7 +92,7 @@ def maximal_normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
     if g.is_trivial():
         raise ValueError("the trivial group has no proper normal subgroup")
     proper = [n for n in normal_subgroups(g) if _proper_in(n, g)]
-    return _sorted_groups(
+    return tuple(
         n
         for n in proper
         if not any(n.order < m.order and n.is_subgroup_of(m) for m in proper)
@@ -126,19 +122,16 @@ def chief_series(g: PermGroup) -> tuple[PermGroup, ...]:
     """An ascending chief series 1 = N_0 < ... < N_k = g.
 
     Consecutive quotients N_{i+1}/N_i are minimal normal subgroups of g/N_i,
-    equivalently each step is a covering pair of the normal lattice. Ties are
-    broken by (order, canonical element list), so the series is deterministic.
+    equivalently each step is a covering pair of the normal lattice. Each
+    step is the first normal subgroup strictly above the current term in the
+    sorted lattice: one strictly between them would be smaller and sort
+    earlier, so the step covers the term, and the series is deterministic.
     """
     normals = normal_subgroups(g)
     series = [normals[0]]
     while series[-1].order < g.order:
         cur = series[-1]
-        step = next(
-            n
-            for n in normals
-            if cur.order < n.order and cur.is_subgroup_of(n) and _covers(g, cur, n)
-        )
-        series.append(step)
+        series.append(next(n for n in normals if cur.order < n.order and cur.is_subgroup_of(n)))
     return tuple(series)
 
 
@@ -250,6 +243,15 @@ def decompose_char_simple(q: PermGroup) -> tuple[SimpleTypeId, int]:
     return tid, k
 
 
+def _chief_factors(g: PermGroup) -> Iterator[tuple[PermGroup, PermGroup, SimpleTypeId, int]]:
+    """(lo, hi, simple type, multiplicity) for each step lo < hi of
+    chief_series(g), ascending; hi/lo is isomorphic to the type's power."""
+    series = chief_series(g)
+    for lo, hi in zip(series, series[1:]):
+        q, _ = quotient(hi, lo)
+        yield lo, hi, *decompose_char_simple(q)
+
+
 def composition_factors(g: PermGroup) -> dict[str, int]:
     """Composition factor multiplicities, keyed by simple type name.
 
@@ -257,11 +259,8 @@ def composition_factors(g: PermGroup) -> dict[str, int]:
     contributes k composition factors S. The multiset does not depend on the
     chosen series.
     """
-    series = chief_series(g)
     out: dict[str, int] = {}
-    for lo, hi in zip(series, series[1:]):
-        q, _ = quotient(hi, lo)
-        tid, k = decompose_char_simple(q)
+    for _lo, _hi, tid, k in _chief_factors(g):
         out[tid.name] = out.get(tid.name, 0) + k
     return out
 
@@ -385,7 +384,7 @@ def centdec_witness(
 
 @functools.lru_cache(maxsize=None)
 def all_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
-    """Every subgroup of g, sorted by (order, canonical element list).
+    """Every subgroup of g, sorted by order and then by sorted element list.
 
     Cyclic extension (Holt, Eick & O'Brien, Handbook of Computational Group
     Theory, section 10.1): every subgroup arises from the trivial one by
@@ -422,7 +421,7 @@ def all_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
                 found[m] = gens + (j,)
                 frontier.append(m)
             index.cover_double_coset(h, gens, j, covered)
-    return _sorted_groups(index.subgroup(m, gens) for m, gens in found.items())
+    return index.subgroups(found)
 
 
 def _cyclic_generators(index: ElementIndex) -> list[int]:

@@ -44,19 +44,19 @@ class StageRecord(NamedTuple):
 class SystemPrefix:
     """Validated prefix: groups, connecting maps, marks, and kernels on first use.
 
-    a_marks and b0 are None where the file carried no mark.  mode and
-    dense_bound are the ones the groups were built with.  Immutable; equal
-    and hashed by records alone.
+    a_marks and b0 are None where the file carried no mark.  dense_bound is
+    the one the groups were built with.  Immutable; equal and hashed by
+    records alone.
     """
 
-    __slots__ = ("records", "groups", "homs", "a_marks", "b0", "mode", "dense_bound", "_kernels")
+    __slots__ = ("records", "groups", "homs", "a_marks", "b0", "dense_bound", "_kernels")
 
     def __init__(
         self, records: tuple[StageRecord, ...], groups: tuple[PermGroup, ...],
         homs: tuple[GroupHom, ...], a_marks: tuple[Optional[PermGroup], ...],
-        b0: Optional[PermGroup], mode: str = "auto", dense_bound: int = DEFAULT_DENSE_BOUND,
+        b0: Optional[PermGroup], dense_bound: int = DEFAULT_DENSE_BOUND,
     ):
-        values = (records, groups, homs, a_marks, b0, mode, dense_bound, {})
+        values = (records, groups, homs, a_marks, b0, dense_bound, {})
         for field, value in zip(self.__slots__, values):
             object.__setattr__(self, field, value)
 
@@ -98,7 +98,7 @@ class SystemPrefix:
         """Copy of this prefix with the given marks installed.
 
         Stages absent from a_marks keep their current mark.  The copy shares
-        this prefix's groups, maps, mode, dense bound and computed kernels;
+        this prefix's groups, maps, dense bound and computed kernels;
         only the new marks are validated, so a non-normal one is rejected.
         """
         records, marks, new_b0 = list(self.records), list(self.a_marks), self.b0
@@ -112,7 +112,7 @@ class SystemPrefix:
             records[0] = records[0]._replace(b0_generators=gens)
             new_b0 = _mark_subgroup(self.groups[0], gens, "stage 0.b0")
         out = SystemPrefix(
-            tuple(records), self.groups, self.homs, tuple(marks), new_b0, self.mode, self.dense_bound
+            tuple(records), self.groups, self.homs, tuple(marks), new_b0, self.dense_bound
         )
         out._kernels.update(self._kernels)
         return out
@@ -268,7 +268,7 @@ def _assemble(
     if records[0].b0_generators is not None:
         b0 = _mark_subgroup(groups[0], records[0].b0_generators, "stage 0.b0")
 
-    return SystemPrefix(records, tuple(groups), tuple(homs), tuple(a_marks), b0, mode, dense_bound)
+    return SystemPrefix(records, tuple(groups), tuple(homs), tuple(a_marks), b0, dense_bound)
 
 
 def parse_system(

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import InputFormatError, UnknownGroupError
-from .group import PermGroup, conjugacy_classes, is_prime, normal_closure
+from .group import PermGroup, conjugacy_classes, is_prime
 
 _DATA_PATH = Path(__file__).parent / "data" / "schur_multipliers.txt"
 
@@ -88,14 +88,17 @@ def is_simple(g: PermGroup) -> bool:
 
     The normal closure of an element is constant on its conjugacy class, so
     checking one representative per class covers every candidate generator of
-    a normal subgroup.
+    a normal subgroup. Closures are position sets on g's element index; no
+    group is built for them.
     """
     if g.is_trivial():
         return False
-    for rep, _cls in conjugacy_classes(g):
+    classes = conjugacy_classes(g)
+    index = g.element_index()
+    for rep, _cls in classes:
         if rep.is_identity():
             continue
-        if normal_closure(g, (rep,)).order < g.order:
+        if len(index.normal_closure([index.pos[rep]], index.gens)[0]) < g.order:
             return False
     return True
 

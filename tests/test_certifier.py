@@ -643,7 +643,7 @@ def test_each_qualifying_subgroup_is_closed_once(monkeypatch):
     original = certifier.normal_closure
 
     def counting(parent, sub):
-        calls.append((id(parent), sub.canonical_key()))
+        calls.append((id(parent), sub.elements()))
         return original(parent, sub)
 
     monkeypatch.setattr(certifier, "normal_closure", counting)

@@ -229,6 +229,6 @@ def test_wreath_product_small():
 
 
 def test_wreath_product_auto_chain():
-    g = wreath_product(alternating(5), alternating(5), dense_bound=10_000)
+    g = wreath_product(alternating(5), alternating(5))
     assert g.mode == "chain"
     assert g.order == 60**5 * 60

@@ -219,7 +219,7 @@ def test_with_marks_keeps_mode_and_dense_bound():
     assert [g.mode for g in prefix.groups] == ["dense", "chain", "chain"]
     marked = prefix.with_marks({0: prefix.groups[0]})
     assert [g.mode for g in marked.groups] == ["dense", "chain", "chain"]
-    assert (marked.mode, marked.dense_bound) == ("auto", 4)
+    assert marked.dense_bound == 4
 
 
 def test_with_marks_reuses_groups_maps_and_kernels(monkeypatch):
@@ -236,7 +236,7 @@ def test_with_marks_reuses_groups_maps_and_kernels(monkeypatch):
     assert all(a is b for a, b in zip(derived.groups, prefix.groups))
     assert derived.homs is prefix.homs
     assert derived.kernel(1) is kernel
-    assert (derived.mode, derived.dense_bound) == (prefix.mode, prefix.dense_bound)
+    assert derived.dense_bound == prefix.dense_bound
     # the same marks as a prefix assembled afresh from the new records
     again = parse_system(serialize_system(derived))
     assert again.a_marks == derived.a_marks and again.b0 == derived.b0

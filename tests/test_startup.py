@@ -104,7 +104,7 @@ def test_system_prefix_repr_names_its_fields():
     assert text.startswith("SystemPrefix(records=(StageRecord(degree=3, ")
     for field in ("groups", "homs", "a_marks", "b0"):
         assert f", {field}=" in text
-    assert text.endswith(", mode='auto', dense_bound=2000000)")
+    assert text.endswith(", dense_bound=2000000)")
     assert "_kernels" not in text
 
 

@@ -23,13 +23,18 @@ from jicert import (
 )
 from jicert.certifier import _commuting_family, _conjugates
 from jicert.group import ElementIndex
-from jicert.lattice import _cyclic_generators, _sorted_groups, all_subgroups
+from jicert.lattice import _cyclic_generators, all_subgroups
 
 DATA = Path(__file__).parent / "data"
 
 # The reference sweep takes 8.5 s on S5 and minutes on A6, so it runs on the
 # corpus groups up to this order.
 REFERENCE_ORDER_BOUND = 60
+
+
+def by_order_and_elements(groups):
+    """The groups sorted by order, then by their element lists in image order."""
+    return sorted(groups, key=lambda s: (s.order, sorted(x.images for x in s.elements())))
 
 
 def reference_all_subgroups(g):
@@ -52,7 +57,7 @@ def reference_all_subgroups(g):
             if m.elements() not in found:
                 found[m.elements()] = m
                 frontier.append(m)
-    return sorted(found.values(), key=lambda s: (s.order, s.canonical_key()))
+    return by_order_and_elements(found.values())
 
 
 def reference_index_sweep(g):
@@ -73,7 +78,7 @@ def reference_index_sweep(g):
             if m not in found:
                 found[m] = gens + (j,)
                 frontier.append(m)
-    return _sorted_groups(index.subgroup(m, gens) for m, gens in found.items())
+    return by_order_and_elements(index.subgroup(m, gens) for m, gens in found.items())
 
 
 def signature(subs):
@@ -171,36 +176,68 @@ def test_conjugates_match_brute_force(small_corpus):
         elements = tuples(g)
         images = [x.images for x in g.element_index().elems]
         for u in all_subgroups(g):
-            family = _conjugates(g, u)
+            family = list(_conjugates(g, u))
             got = [frozenset(images[i] for i in c) for c, _gens in family]
-            assert got[0] == tuples(u), name
+            assert tuples(u) not in got, name
             assert len(set(got)) == len(got), name
-            assert set(got) == oracles.conjugate_subgroups(elements, tuples(u)), name
+            want = oracles.conjugate_subgroups(elements, tuples(u))
+            assert set(got) | {tuples(u)} == want, name
             for c, (_, gens) in zip(got, family):
                 assert oracles.closure_gens(g.degree, [images[i] for i in gens]) == c, name
 
 
-def test_commuting_family_memo_matches_fresh_computation(small_corpus):
+def _check_commuting_family(name, g):
+    """_commuting_family on every subgroup of g against the all-pairs oracle,
+    its memo, an equal subgroup with other generators, and a fresh stage."""
+
     def closure(stage, u):
         c = _commuting_family(stage, u)
         return None if c is None else tuples(c)
 
+    elements = tuples(g)
+    fresh_stage = PermGroup.from_generators(g.degree, g.generators)
+    for u in all_subgroups(g):
+        want = None
+        if oracles.has_commuting_conjugates(elements, tuples(u)):
+            # the normal closure is the join of the conjugates
+            want = oracles.join_sets(g.degree, oracles.conjugate_subgroups(elements, tuples(u)))
+        assert closure(g, u) == want, name
+        memo = g.element_index().commuting_closures
+        assert memo[u.elements()] is _commuting_family(g, u), name  # a memo hit
+        # a subgroup equal to u, found with other generators, shares the entry
+        twin = subgroup_generated(g, reversed(u.generators))
+        assert _commuting_family(g, twin) is memo[u.elements()], name
+        assert closure(fresh_stage, u) == want, name
+
+
+def test_commuting_family_memo_matches_fresh_computation(small_corpus):
     for name, g in small_corpus.items():
-        if g.order > REFERENCE_ORDER_BOUND:
-            continue
-        elements = tuples(g)
-        fresh_stage = PermGroup.from_generators(g.degree, g.generators)
-        for u in all_subgroups(g):
-            want = None
-            if oracles.has_commuting_conjugates(elements, tuples(u)):
-                # the normal closure is the join of the conjugates
-                want = oracles.join_sets(
-                    g.degree, oracles.conjugate_subgroups(elements, tuples(u))
-                )
-            assert closure(g, u) == want, name
-            memo = g.element_index().commuting_closures
-            assert memo[u.canonical_key()] is _commuting_family(g, u), name  # a memo hit
-            # a subgroup equal to u, found with other generators, shares the entry
-            twin = subgroup_generated(g, reversed(u.generators))
-            assert _commuting_family(g, twin) is memo[u.canonical_key()], name
-            assert closure(fresh_stage, u) == want, name
+        if g.order <= REFERENCE_ORDER_BOUND:
+            _check_commuting_family(name, g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_commuting_family_matches_oracle_on_random_groups(seed):
+    _check_commuting_family(seed, _relabelled_subgroup(random.Random(seed)))
+
+
+def test_commuting_walk_stops_at_the_first_non_commuting_conjugate(small_corpus, monkeypatch):
+    # the conjugacy orbits of the 156 subgroups of S5 hold 1686 subgroups in all
+    from jicert import certifier
+
+    built = []
+    walk = certifier._conjugates
+
+    def counting(g, u):
+        built.append(u)  # the walk starts from u's own set
+        for conjugate in walk(g, u):
+            built.append(conjugate)
+            yield conjugate
+
+    monkeypatch.setattr(certifier, "_conjugates", counting)
+    s5 = small_corpus["S5"]
+    g = PermGroup.from_generators(s5.degree, s5.generators)
+    qualifying = [u for u in all_subgroups(g) if _commuting_family(g, u) is not None]
+    assert qualifying == []
+    assert 156 < len(built) <= 400
