@@ -334,7 +334,7 @@ def check_wilson_stage(
         )
 
     skipped = [n.order for n in above if n.order > subgroup_bound]
-    swept = ((n, u) for n in above if n.order <= subgroup_bound for u in all_subgroups(n))
+    swept = ((n, u) for n in above if n.order <= subgroup_bound for u in all_subgroups(g, n))
     hit = next(((n, u) for n, u in swept if _wilson_ii_fails(g, k, n, u)), None)
     if hit:
         lsub, u = hit

@@ -59,13 +59,17 @@ class ElementIndex:
     closure, or a conjugator), never for a coset representative or a path.
     The conjugation row of position j maps i to the position of
     elems[i] ** elems[j]; it is composed from the right row of j and the
-    inversion map, which is built once with one inverse per element.
+    inversion map, which is built once with one inverse per element. The
+    group's normal subgroups (normals) and the subgroups of each swept
+    subgroup (sweeps, by its position set) are kept here, set on first use.
     """
 
     __slots__ = (
         "degree",
         "elems",
         "pos",
+        "normals",
+        "sweeps",
         "commuting_closures",
         "gens",
         "_gen_rows",
@@ -80,6 +84,8 @@ class ElementIndex:
         self.degree = degree
         self.elems = elems
         self.pos = pos = {x: i for i, x in enumerate(elems)}
+        self.normals: tuple[PermGroup, ...] | None = None
+        self.sweeps: dict[frozenset[int], tuple[PermGroup, ...]] = {}
         # element set of a subgroup -> its normal closure if it is non-normal
         # with pairwise-commuting conjugates, else None; filled by the certifier
         self.commuting_closures: dict[frozenset[Permutation], PermGroup | None] = {}
@@ -228,8 +234,8 @@ def _push_cosets(start: tuple[int, ...], rows: Sequence[tuple[int, ...]], have: 
 class PermGroup:
     """A subgroup of Sym({0, ..., degree-1}).
 
-    Instances are immutable handles. Groups of the same degree compare equal
-    when they contain each other's generators.
+    Instances are immutable, unhashable handles. Groups of the same degree
+    compare equal when they contain each other's generators.
     """
 
     __slots__ = (
@@ -375,9 +381,6 @@ class PermGroup:
         if self.mode == "dense" and other.mode == "dense":
             return self._elements == other._elements
         return self.is_subgroup_of(other) and other.is_subgroup_of(self)
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.order))
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order}, mode={self.mode})"

@@ -1,13 +1,12 @@
 """Normal subgroup lattices, chief series, critical pairs, central decompositions.
 
-Everything here enumerates elements, so inputs must be dense-mode groups.
-All returned subgroup lists are sorted by order and then by sorted element
-list, which makes every search in this module deterministic.
+Inputs must be dense-mode groups (composition factors of p-groups excepted).
+Subgroup lists are sorted by order and then by sorted element list, so every
+search is deterministic; lattices are kept on each group's element index.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Iterator, NamedTuple, Optional
 
@@ -41,7 +40,6 @@ def _proper_in(n: PermGroup, g: PermGroup) -> bool:
     return n.order < g.order
 
 
-@functools.lru_cache(maxsize=None)
 def normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
     """All normal subgroups of g, sorted by order and then by sorted element list.
 
@@ -52,24 +50,25 @@ def normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
     sets, each closure grows N's set by the representative and its
     conjugates, and each found subgroup keeps the generators of its first
     discovery, N's generators followed by the kept seeds. Group objects are
-    built once, at the end.
+    built once, at the end, and the lattice is kept on the index.
     """
     classes = conjugacy_classes(g)
     index = g.element_index()
-    reps = [index.pos[rep] for rep, _cls in classes]
-    trivial = frozenset([0])
-    found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
-    frontier = [trivial]
-    while frontier:
-        n = frontier.pop()
-        for r in reps:
-            if r in n:
-                continue
-            m, kept = index.normal_closure([r], index.gens, n, found[n])
-            if m not in found:
-                found[m] = kept
-                frontier.append(m)
-    return index.subgroups(found)
+    if index.normals is None:
+        reps = [index.pos[rep] for rep, _cls in classes]
+        found: dict[frozenset[int], tuple[int, ...]] = {frozenset([0]): ()}
+        frontier = list(found)
+        while frontier:
+            n = frontier.pop()
+            for r in reps:
+                if r in n:
+                    continue
+                m, kept = index.normal_closure([r], index.gens, n, found[n])
+                if m not in found:
+                    found[m] = kept
+                    frontier.append(m)
+        index.normals = index.subgroups(found)
+    return index.normals
 
 
 def minimal_normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
@@ -85,7 +84,6 @@ def minimal_normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
     )
 
 
-@functools.lru_cache(maxsize=None)
 def maximal_normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
     """Maximal elements among the proper normal subgroups (trivial counts when
     g is simple)."""
@@ -257,8 +255,11 @@ def composition_factors(g: PermGroup) -> dict[str, int]:
 
     Computed by refining a chief series: a chief factor isomorphic to S^k
     contributes k composition factors S. The multiset does not depend on the
-    chosen series.
+    chosen series. A group of order p^k has k factors Cp and builds no lattice.
     """
+    is_pp, p = _is_prime_power(g.order)
+    if is_pp:
+        return {SimpleTypeId.cyclic(p).name: next(k for k in range(g.order) if p**k == g.order)}
     out: dict[str, int] = {}
     for _lo, _hi, tid, k in _chief_factors(g):
         out[tid.name] = out.get(tid.name, 0) + k
@@ -370,10 +371,11 @@ def centdec_witness(
         raise NotNormalError("lsub must be normal")
     if lsub.is_trivial():
         raise ValueError("lsub must be nontrivial")
+    maximal = maximal_normal_subgroups(lsub)
     for h in normal_subgroups(g):
         if k.is_subgroup_of(h):
             continue
-        for m in maximal_normal_subgroups(lsub):
+        for m in maximal:
             if not h.is_subgroup_of(m):
                 return h, m
     raise KernelBugError("no witness pair found for a decomposable group")
@@ -382,9 +384,8 @@ def centdec_witness(
 # -- full subgroup enumeration ------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def all_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
-    """Every subgroup of g, sorted by order and then by sorted element list.
+def all_subgroups(g: PermGroup, n: Optional[PermGroup] = None) -> tuple[PermGroup, ...]:
+    """All subgroups of n (default g), by order, then by sorted element list.
 
     Cyclic extension (Holt, Eick & O'Brien, Handbook of Computational Group
     Theory, section 10.1): every subgroup arises from the trivial one by
@@ -393,7 +394,7 @@ def all_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
     runs on g's element index: a subgroup is a set of positions, <H, x> is
     closed from H's set with right-multiplication rows, and sets are deduped
     before any group object is built. Only the least generator x of each
-    cyclic subgroup is offered. Found subgroups are extended last in,
+    cyclic subgroup of n is offered. Found subgroups are extended last in,
     first out, with x in sorted order, and each keeps the generators
     H.generators + (x,) of its first discovery, so the output (generator
     lists included) does not depend on how the closures are computed.
@@ -402,41 +403,47 @@ def all_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
     closed the rest of H x H is skipped: a skipped y would only close a
     subgroup already found, and the first discovery of every subgroup, with
     its generators, is the same as without the skip.
-    Exponential in general; callers gate on the group order.
+
+    The output, generator lists included, is that of n's sweep on its own
+    index: subgroups of n are reached only from subgroups of n by elements of
+    n, and positions sort the same way on both indexes. It is kept on g's
+    index under n's position set. Exponential; callers gate on the order.
     """
     index = g.element_index()
-    trivial = frozenset([0])
-    found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
-    frontier = [trivial]
-    cyclic = _cyclic_generators(index)
-    while frontier:
-        h = frontier.pop()
-        gens = found[h]
-        covered = set(h)
-        for j in cyclic:
-            if j in covered:
-                continue
-            m = index.extend(h, gens, j)
-            if m not in found:
-                found[m] = gens + (j,)
-                frontier.append(m)
-            index.cover_double_coset(h, gens, j, covered)
-    return index.subgroups(found)
+    span = frozenset(map(index.pos.__getitem__, index.elems if n is None else n.elements()))
+    if span not in index.sweeps:
+        found: dict[frozenset[int], tuple[int, ...]] = {frozenset([0]): ()}
+        frontier = list(found)
+        cyclic = _cyclic_generators(index, span)
+        while frontier:
+            h = frontier.pop()
+            gens = found[h]
+            covered = set(h)
+            for j in cyclic:
+                if j in covered:
+                    continue
+                m = index.extend(h, gens, j)
+                if m not in found:
+                    found[m] = gens + (j,)
+                    frontier.append(m)
+                index.cover_double_coset(h, gens, j, covered)
+        index.sweeps[span] = index.subgroups(found)
+    return index.sweeps[span]
 
 
-def _cyclic_generators(index: ElementIndex) -> list[int]:
+def _cyclic_generators(index: ElementIndex, span: frozenset[int]) -> list[int]:
     """The least position generating each cyclic subgroup of prime power
-    order > 1, ascending.
+    order > 1 inside the subgroup at the positions span, ascending.
 
     <H, y> = <H, x> whenever <y> = <x>, and the least generator comes first
     in every extension loop, so offering only it changes no first discovery.
     """
     out: list[int] = []
     skip: set[int] = set()
-    for j, x in enumerate(index.elems):
+    for j in sorted(span):
         if j in skip:
             continue
-        n = x.order()
+        n = index.elems[j].order()
         is_pp, p = _is_prime_power(n)
         if not is_pp:
             continue
