@@ -70,7 +70,6 @@ from .group import (
 from .hom import GroupHom, quotient
 from .lattice import (
     CriticalPair,
-    all_subgroups,
     central_decomposition,
     centdec_witness,
     chief_factor_pairs,

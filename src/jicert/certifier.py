@@ -48,10 +48,10 @@ from .group import (
 from .hom import GroupHom
 from .lattice import (
     _chief_factors,
-    all_subgroups,
     central_decomposition,
     critical_pair_fails,
     critical_pairs,
+    invariant_subgroups,
     is_critical_pair,
     maximal_normal_subgroups,
     minimal_normal_subgroups,
@@ -334,7 +334,10 @@ def check_wilson_stage(
         )
 
     skipped = [n.order for n in above if n.order > subgroup_bound]
-    swept = ((n, u) for n in above if n.order <= subgroup_bound for u in all_subgroups(g, n))
+    # a witness u is normal in its normal closure n, so n's normal lattice holds it
+    swept = (
+        (n, u) for n in above if n.order <= subgroup_bound for u in normal_subgroups(g, n)
+    )
     hit = next(((n, u) for n, u in swept if _wilson_ii_fails(g, k, n, u)), None)
     if hit:
         lsub, u = hit
@@ -440,7 +443,15 @@ def check_commuting_conjugates_stage(
         )
         return sv
 
-    u = next((u for u in all_subgroups(g) if _commuting_conjugates_fails(g, a, u)), None)
+    # a witness u is normal in its normal closure, which contains a; an
+    # element set in several lattices keeps its first generators
+    found: dict[frozenset[Permutation], PermGroup] = {}
+    for n in normal_subgroups(g):
+        if a.is_subgroup_of(n):
+            for u in normal_subgroups(g, n):
+                found.setdefault(u.elements(), u)
+    swept = sorted(found.values(), key=lambda u: (u.order, u.sorted_elements()))
+    u = next((u for u in swept if _commuting_conjugates_fails(g, a, u)), None)
     if u is None:
         sv.checks[CHECK_COMMUTING_CONJUGATES] = CheckResult(
             PASS, note="no qualifying subgroup"
@@ -488,7 +499,7 @@ def check_strengthened_stage(
     else:
         pc = _centralizer_product(g, p)
         maxn = maximal_normal_subgroups(a)
-        swept = ((h, m) for h in all_subgroups(g) for m in maxn)
+        swept = ((h, m) for h in invariant_subgroups(g, a.generators) for m in maxn)
         hit = next(((h, m) for h, m in swept if _dichotomy_fails(a, pc, h, m)), None)
         if hit is None:
             sv.checks[CHECK_DICHOTOMY] = CheckResult(

@@ -16,8 +16,8 @@ Only the generators' multiplication rows are built with permutation
 products, and the inversion map with one inverse per element; every other
 multiplication or conjugation row is composed from them. Dense closure works
 on sets of positions: normal closures, commutator subgroups, conjugacy
-classes, the normal lattice and the subgroup sweeps all run on the index, so
-they multiply no permutations per closure step.
+classes and the invariant-subgroup sweeps (the normal lattice among them)
+all run on the index, so they multiply no permutations per closure step.
 
 All derived orderings (sorted elements, conjugacy classes, generator
 reduction) are deterministic so that downstream reports are byte-stable.
@@ -60,15 +60,16 @@ class ElementIndex:
     The conjugation row of position j maps i to the position of
     elems[i] ** elems[j]; it is composed from the right row of j and the
     inversion map, which is built once with one inverse per element. The
-    group's normal subgroups (normals) and the subgroups of each swept
-    subgroup (sweeps, by its position set) are kept here, set on first use.
+    invariant-subgroup lattices (sweeps) are kept here, keyed by the position
+    set of the swept subgroup (None for the whole group) and the positions of
+    the elements that normalize them; the normal lattice is the entry of the
+    group's own generators.
     """
 
     __slots__ = (
         "degree",
         "elems",
         "pos",
-        "normals",
         "sweeps",
         "commuting_closures",
         "gens",
@@ -84,8 +85,9 @@ class ElementIndex:
         self.degree = degree
         self.elems = elems
         self.pos = pos = {x: i for i, x in enumerate(elems)}
-        self.normals: tuple[PermGroup, ...] | None = None
-        self.sweeps: dict[frozenset[int], tuple[PermGroup, ...]] = {}
+        self.sweeps: dict[
+            tuple[frozenset[int] | None, tuple[int, ...]], tuple[PermGroup, ...]
+        ] = {}
         # element set of a subgroup -> its normal closure if it is non-normal
         # with pairwise-commuting conjugates, else None; filled by the certifier
         self.commuting_closures: dict[frozenset[Permutation], PermGroup | None] = {}
@@ -151,20 +153,6 @@ class ElementIndex:
         _push_cosets((0, *h), [self.right_row(i) for i in (*gens, j)], have)
         return frozenset(have)
 
-    def cover_double_coset(
-        self, h: frozenset[int], gens: Sequence[int], j: int, covered: set[int]
-    ) -> None:
-        """Add the positions of H * elems[j] * H to covered, where h holds the
-        positions of H = <gens> and covered is a union of right cosets of H.
-
-        The right cosets of H that the rows of gens reach from H * elems[j],
-        which is h pushed through j's right row. Only the rows of j and of
-        H's generators are used.
-        """
-        start = itemgetter(0, *h)(self.right_row(j))
-        covered.update(start)
-        _push_cosets(start, [self.right_row(i) for i in gens], covered)
-
     def normal_closure(
         self,
         seeds: Iterable[int],
@@ -192,6 +180,31 @@ class ElementIndex:
             kept.append(s)
             pending.extend(row[s] for row in conj)
         return h, tuple(kept)
+
+    def orbits(self, span: Iterable[int], under: Sequence[int]) -> list[list[int]]:
+        """The orbits of the positions span under conjugation by the elements
+        at the positions under, each headed by its least position, sorted by
+        size and then by that position.
+
+        span must be ascending and a union of orbits.
+        """
+        rows = [self.conj_row(t) for t in under]
+        seen = bytearray(len(self.elems))
+        out = []
+        for i in span:
+            if seen[i]:
+                continue
+            seen[i] = 1
+            orbit = [i]
+            for y in orbit:
+                for row in rows:
+                    z = row[y]
+                    if not seen[z]:
+                        seen[z] = 1
+                        orbit.append(z)
+            out.append(orbit)
+        out.sort(key=len)  # stable: equal sizes stay in order of least position
+        return out
 
     def subgroup(self, positions: Iterable[int], gens: Sequence[int]) -> PermGroup:
         """The dense group on a closed set of positions, generated by gens."""
@@ -579,28 +592,11 @@ def conjugacy_classes(g: PermGroup) -> tuple[tuple[Permutation, frozenset[Permut
     if g._classes is not None:
         return g._classes
     index = g.element_index()
-    rows = [index.conj_row(t) for t in index.gens]
     elems = index.elems
-    seen = bytearray(len(elems))
-    classes = []
-    for i in range(len(elems)):
-        if seen[i]:
-            continue
-        orbit = {i}
-        frontier = [i]
-        while frontier:
-            y = frontier.pop()
-            for row in rows:
-                z = row[y]
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        for k in orbit:
-            seen[k] = 1
-        # every smaller position lies in an earlier class, so i is the least member
-        classes.append((elems[i], frozenset(elems[k] for k in orbit)))
-    classes.sort(key=lambda c: (len(c[1]), c[0].images))
-    g._classes = tuple(classes)
+    g._classes = tuple(
+        (elems[orbit[0]], frozenset(elems[k] for k in orbit))
+        for orbit in index.orbits(range(len(elems)), index.gens)
+    )
     return g._classes
 
 

@@ -1,23 +1,26 @@
 """Normal subgroup lattices, chief series, critical pairs, central decompositions.
 
 Inputs must be dense-mode groups (composition factors of p-groups excepted).
-Subgroup lists are sorted by order and then by sorted element list, so every
-search is deterministic; lattices are kept on each group's element index.
+One engine, invariant_subgroups, lists the subgroups normalized by given
+elements: the normal lattice is its case of the group's own generators, and
+the certifier's sweeps are its case of a normal subgroup's generators (the
+normal lattice of that subgroup) or of a mark's. No function here lists all
+subgroups. Subgroup lists are sorted by order and then by sorted element
+list, so every search is deterministic; lattices are kept on each group's
+element index.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .errors import KernelBugError, NotNormalError
+from .errors import KernelBugError, NeedsDenseModeError, NotNormalError
 from .group import (
-    ElementIndex,
     PermGroup,
     center,
     centralizer,
     centralizer_of_section,
-    conjugacy_classes,
     e_p_subgroup,
     intersection,
     normal_closure,
@@ -40,35 +43,65 @@ def _proper_in(n: PermGroup, g: PermGroup) -> bool:
     return n.order < g.order
 
 
-def normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
-    """All normal subgroups of g, sorted by order and then by sorted element list.
+def invariant_subgroups(
+    g: PermGroup, under: Sequence[Permutation], n: Optional[PermGroup] = None
+) -> tuple[PermGroup, ...]:
+    """The subgroups of n (default g) normalized by the elements under, sorted
+    by order and then by sorted element list; under must normalize n.
 
-    A subgroup is normal iff it is a union of conjugacy classes, so the lattice
-    is generated by closing class representatives into the subgroups already
-    found: the normal closure of a found N and a representative is a new
-    candidate. The search runs on g's element index: subgroups are position
-    sets, each closure grows N's set by the representative and its
-    conjugates, and each found subgroup keeps the generators of its first
-    discovery, N's generators followed by the kept seeds. Group objects are
-    built once, at the end, and the lattice is kept on the index.
+    If H < H' are both normalized by A = <under>, then for any x in H'
+    outside H the least subgroup that holds H and x and that A normalizes
+    lies in H' and is larger than H, so closing each found subgroup with
+    each seed reaches every such subgroup from the trivial one. That closure
+    is the same for x and for any conjugate of x under A, so the seeds are
+    the heads of the orbits of n's positions under conjugation by under (see
+    ElementIndex.orbits). Found subgroups are closed last in, first out;
+    each keeps the generators of its first discovery, H's generators
+    followed by the kept seeds. The search runs on g's element index, and the
+    lattice is kept there under n's position set and under's positions.
     """
-    classes = conjugacy_classes(g)
+    if g.mode != "dense":
+        # the seeds come from the classes of g's elements under <under>
+        raise NeedsDenseModeError("conjugacy classes need the element table")
     index = g.element_index()
-    if index.normals is None:
-        reps = [index.pos[rep] for rep, _cls in classes]
+    pos = index.pos
+    movers = tuple(pos[t] for t in under)
+    whole = n is None or n.order == g.order
+    span = None if whole else frozenset(map(pos.__getitem__, n.elements()))
+    key = (span, movers)
+    if key not in index.sweeps:
+        orbits = index.orbits(range(len(index.elems)) if whole else sorted(span), movers)
+        seeds = [orbit[0] for orbit in orbits]
         found: dict[frozenset[int], tuple[int, ...]] = {frozenset([0]): ()}
         frontier = list(found)
         while frontier:
-            n = frontier.pop()
-            for r in reps:
-                if r in n:
+            h = frontier.pop()
+            for s in seeds:
+                if s in h:
                     continue
-                m, kept = index.normal_closure([r], index.gens, n, found[n])
+                m, kept = index.normal_closure([s], movers, h, found[h])
                 if m not in found:
                     found[m] = kept
                     frontier.append(m)
-        index.normals = index.subgroups(found)
-    return index.normals
+        index.sweeps[key] = index.subgroups(found)
+    return index.sweeps[key]
+
+
+def normal_subgroups(g: PermGroup, n: Optional[PermGroup] = None) -> tuple[PermGroup, ...]:
+    """All normal subgroups of n (default g), sorted by order and then by
+    sorted element list; n must be a subgroup of g.
+
+    A subgroup is normal iff n's generators normalize it, so this is the
+    invariant sweep under them, on g's index; n = g (with any generators)
+    is swept under g's own generators, so it shares g's lattice. Their
+    orbits are the conjugacy classes, in the order of conjugacy_classes,
+    and each found subgroup keeps the generators of its first discovery:
+    N's generators followed by the kept class representatives and their
+    conjugates.
+    """
+    if n is None or n.order == g.order:
+        return invariant_subgroups(g, g.generators)
+    return invariant_subgroups(g, n.generators, n)
 
 
 def minimal_normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
@@ -379,79 +412,3 @@ def centdec_witness(
             if not h.is_subgroup_of(m):
                 return h, m
     raise KernelBugError("no witness pair found for a decomposable group")
-
-
-# -- full subgroup enumeration ------------------------------------------------
-
-
-def all_subgroups(g: PermGroup, n: Optional[PermGroup] = None) -> tuple[PermGroup, ...]:
-    """All subgroups of n (default g), by order, then by sorted element list.
-
-    Cyclic extension (Holt, Eick & O'Brien, Handbook of Computational Group
-    Theory, section 10.1): every subgroup arises from the trivial one by
-    repeatedly adjoining an element of prime power order, so extending each
-    found subgroup H by all such x outside it reaches everything. The sweep
-    runs on g's element index: a subgroup is a set of positions, <H, x> is
-    closed from H's set with right-multiplication rows, and sets are deduped
-    before any group object is built. Only the least generator x of each
-    cyclic subgroup of n is offered. Found subgroups are extended last in,
-    first out, with x in sorted order, and each keeps the generators
-    H.generators + (x,) of its first discovery, so the output (generator
-    lists included) does not depend on how the closures are computed.
-
-    <H, y> = <H, x> for every y in the double coset H x H, so once <H, x> is
-    closed the rest of H x H is skipped: a skipped y would only close a
-    subgroup already found, and the first discovery of every subgroup, with
-    its generators, is the same as without the skip.
-
-    The output, generator lists included, is that of n's sweep on its own
-    index: subgroups of n are reached only from subgroups of n by elements of
-    n, and positions sort the same way on both indexes. It is kept on g's
-    index under n's position set. Exponential; callers gate on the order.
-    """
-    index = g.element_index()
-    span = frozenset(map(index.pos.__getitem__, index.elems if n is None else n.elements()))
-    if span not in index.sweeps:
-        found: dict[frozenset[int], tuple[int, ...]] = {frozenset([0]): ()}
-        frontier = list(found)
-        cyclic = _cyclic_generators(index, span)
-        while frontier:
-            h = frontier.pop()
-            gens = found[h]
-            covered = set(h)
-            for j in cyclic:
-                if j in covered:
-                    continue
-                m = index.extend(h, gens, j)
-                if m not in found:
-                    found[m] = gens + (j,)
-                    frontier.append(m)
-                index.cover_double_coset(h, gens, j, covered)
-        index.sweeps[span] = index.subgroups(found)
-    return index.sweeps[span]
-
-
-def _cyclic_generators(index: ElementIndex, span: frozenset[int]) -> list[int]:
-    """The least position generating each cyclic subgroup of prime power
-    order > 1 inside the subgroup at the positions span, ascending.
-
-    <H, y> = <H, x> whenever <y> = <x>, and the least generator comes first
-    in every extension loop, so offering only it changes no first discovery.
-    """
-    out: list[int] = []
-    skip: set[int] = set()
-    for j in sorted(span):
-        if j in skip:
-            continue
-        n = index.elems[j].order()
-        is_pp, p = _is_prime_power(n)
-        if not is_pp:
-            continue
-        out.append(j)
-        # x^k generates <x> exactly when p does not divide k
-        row, k = index.right_row(j), 0
-        for e in range(1, n):
-            k = row[k]
-            if e % p:
-                skip.add(k)
-    return out

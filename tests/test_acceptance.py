@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+from full_sweep import all_subgroups
 from jicert import (
     PermGroup,
     Permutation,
@@ -45,7 +46,6 @@ from jicert.certifier import (
 )
 from jicert.cli import main as cli_main
 from jicert.group import center, centralizer_of_section, intersection, product_order
-from jicert.lattice import all_subgroups
 from jicert.simples import element_order_multiset
 
 DATA = Path(__file__).parent / "data"

@@ -647,15 +647,21 @@ def test_each_qualifying_subgroup_is_closed_once(monkeypatch):
         return original(parent, sub)
 
     monkeypatch.setattr(certifier, "normal_closure", counting)
-    prefix = parse_system((DATA / "s4_s3_prefix.json").read_text())
+    # wilson_ii fails at stages 1 and 2, so its sweeps reach qualifying subgroups
+    prefix = build_wreath_tower([("C2", 2)], 3)
     options = CertifyOptions(wilson=True, commuting_conjugates=True, strengthened=True)
-    certify_system(prefix, options)
-    # wilson_ii used to close the same subgroup once per normal subgroup: 9 calls
+    verdict = certify_system(prefix, options)
+    # re-checking the witnesses asks for their closures again, from the memo
+    for n, stage in enumerate(verdict.stages[1:], 1):
+        res = stage.checks[CHECK_WILSON_II]
+        assert res.status == FAIL
+        g, k = prefix.groups[n], prefix.kernel(n)
+        assert revalidate_witness(CHECK_WILSON_II, res.witness, g=g, k=k)
     assert calls and len(calls) == len(set(calls))
     closed = [
         c for g in prefix.groups for c in g.element_index().commuting_closures.values()
     ]
-    assert len(calls) == sum(c is not None for c in closed) == 3
+    assert len(calls) == sum(c is not None for c in closed) == 4
 
 
 def test_sweeps_on_a_chain_stage_are_bounded():

@@ -10,6 +10,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from full_sweep import all_subgroups, cyclic_generators
 from jicert import PermGroup, alternating, is_simple, parse_system, subgroup_generated
 from jicert.group import (
     _normalize_gens,
@@ -18,7 +19,7 @@ from jicert.group import (
     normal_closure,
 )
 from jicert.perm import comm
-from jicert.lattice import _cyclic_generators, all_subgroups, normal_subgroups
+from jicert.lattice import normal_subgroups
 from test_sweep import _relabelled_subgroup, tuples
 
 DATA = Path(__file__).parent / "data"
@@ -233,5 +234,5 @@ def test_subgroup_sweep_keeps_only_generator_rows(small_corpus):
         fresh = PermGroup.from_generators(g.degree, g.generators)
         all_subgroups(fresh)
         index = fresh.element_index()
-        allowed = {0, *index.gens, *_cyclic_generators(index, frozenset(range(fresh.order)))}
+        allowed = {0, *index.gens, *cyclic_generators(index, frozenset(range(fresh.order)))}
         assert set(index._right) <= allowed, name

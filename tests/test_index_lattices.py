@@ -1,6 +1,7 @@
 """Lattices kept on the element index: each group object gets its own normal
-lattice, sweeps of a subgroup run on the parent's index and match the
-subgroup's own sweep, the certifier builds no index per swept normal subgroup,
+lattice, a sweep of the whole group is shared, the reference sweep of a
+subgroup runs on the parent's index and matches the subgroup's own sweep,
+the certifier builds no index per swept normal subgroup, the reference's
 double cosets against brute force, and composition factors of p-groups."""
 
 from pathlib import Path
@@ -8,11 +9,17 @@ from pathlib import Path
 import pytest
 
 import oracles
+from full_sweep import all_subgroups, cover_double_coset
 from jicert import PermGroup, Permutation, alternating, build_wreath_tower, parse_system
 from jicert.certifier import CertifyOptions, certify_system
 from jicert.classdata import SchurTable, class_from_names
 from jicert.group import ElementIndex
-from jicert.lattice import _chief_factors, all_subgroups, composition_factors, normal_subgroups
+from jicert.lattice import (
+    _chief_factors,
+    composition_factors,
+    invariant_subgroups,
+    normal_subgroups,
+)
 from test_index_closure import reference_normal_subgroups
 from test_sweep import _certify_sweep_prefix, _certify_sweep_stage, reference_index_sweep, signature
 
@@ -64,7 +71,9 @@ def test_sweep_of_a_normal_subgroup_equal_to_the_group_is_shared(small_corpus):
     g = fresh(small_corpus["S4"])
     top = normal_subgroups(g)[-1]
     assert top == g
-    assert all_subgroups(g, top) is all_subgroups(g)
+    assert top.generators != g.generators
+    assert normal_subgroups(g, top) is normal_subgroups(g)
+    assert invariant_subgroups(g, g.generators, top) is normal_subgroups(g)
 
 
 def test_all_flag_certify_sweep_builds_four_indexes(monkeypatch):
@@ -101,7 +110,7 @@ def test_cover_double_coset_matches_brute_force(small_corpus):
             gens = [pos[x] for x in sub.generators]
             for j, x in enumerate(index.elems):
                 covered = set(h)
-                index.cover_double_coset(h, gens, j, covered)
+                cover_double_coset(index, h, gens, j, covered)
                 want = h | {pos[a * x * b] for a in sub.elements() for b in sub.elements()}
                 assert covered == want, (name, sub.generators, x)
                 checked += 1

@@ -1,6 +1,7 @@
 import pytest
 
 import oracles
+from full_sweep import all_subgroups
 from jicert import (
     NotNormalError,
     PermGroup,
@@ -22,7 +23,7 @@ from jicert import (
     symmetric,
 )
 from jicert.group import center, intersection, product_order
-from jicert.lattice import all_subgroups, chief_factor_pairs, decompose_char_simple
+from jicert.lattice import chief_factor_pairs, decompose_char_simple
 
 
 def elem_tuples(g):

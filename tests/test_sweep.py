@@ -1,6 +1,7 @@
-"""The indexed subgroup sweep against the sweeps it replaced (a fresh
-permutation closure per extension, and the index sweep without double-coset
-pruning), and the conjugate families of the certifier against brute force."""
+"""The full subgroup sweep of full_sweep.py, the reference for the invariant
+sweeps, against the sweeps it replaced (a fresh permutation closure per
+extension, and the index sweep without double-coset pruning), and the
+conjugate families of the certifier against brute force."""
 
 import random
 from pathlib import Path
@@ -23,7 +24,7 @@ from jicert import (
 )
 from jicert.certifier import _commuting_family, _conjugates
 from jicert.group import ElementIndex
-from jicert.lattice import _cyclic_generators, all_subgroups
+from full_sweep import all_subgroups, cyclic_generators
 
 DATA = Path(__file__).parent / "data"
 
@@ -67,7 +68,7 @@ def reference_index_sweep(g):
     trivial = frozenset([0])
     found = {trivial: ()}
     frontier = [trivial]
-    cyclic_gens = _cyclic_generators(index, frozenset(range(g.order)))
+    cyclic_gens = cyclic_generators(index, frozenset(range(g.order)))
     while frontier:
         h = frontier.pop()
         gens = found[h]
