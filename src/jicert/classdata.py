@@ -96,10 +96,8 @@ def count_class_factors(g: PermGroup, cls: SimpleClass) -> int:
 def class_from_names(names: Iterable[str], table: SchurTable) -> SimpleClass:
     """Class with the named members: C<p> for primes, table names otherwise.
 
-    Type ids built here carry an empty fingerprint placeholder, since the
-    table stores no element-order data; they are meant for name-based
-    counting and closure checks, not for comparison against identified
-    groups.
+    Each member is its table row's (name, order), the same id that
+    identify_simple_type and section_type give for that type.
     """
     members = set()
     for name in names:
@@ -107,12 +105,8 @@ def class_from_names(names: Iterable[str], table: SchurTable) -> SimpleClass:
         if m:
             members.add(SimpleTypeId.cyclic(int(m.group(1))))
             continue
-        for row in table.rows:
-            if row.name == name:
-                members.add(
-                    SimpleTypeId(name=row.name, order=row.order, fingerprint=())
-                )
-                break
-        else:
+        row = next((row for row in table.rows if row.name == name), None)
+        if row is None:
             raise KeyError(f"unknown simple group name {name!r}")
+        members.add(SimpleTypeId(row.name, row.order))
     return SimpleClass(frozenset(members))

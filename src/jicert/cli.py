@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import re
 import sys
 
 from .certifier import (
@@ -111,7 +112,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     names = None
     cls = None
     if args.count_class:
-        names = sorted(s.strip() for s in args.count_class.split(",") if s.strip())
+        parts = re.split(r",(?![^(]*\))", args.count_class)  # keeps PSL(3,4) whole
+        names = sorted(s.strip() for s in parts if s.strip())
         try:
             cls = class_from_names(names, SchurTable.load())
         except (KeyError, ValueError) as exc:

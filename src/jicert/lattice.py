@@ -29,7 +29,13 @@ from .group import (
 )
 from .hom import quotient
 from .perm import Permutation
-from .simples import SimpleTypeId, group_fingerprint, identify_simple_type
+from .simples import (
+    SimpleTypeId,
+    group_fingerprint,
+    identify_simple_type,
+    prime_power_base,
+    section_type,
+)
 
 
 class CriticalPair(NamedTuple):
@@ -276,11 +282,11 @@ def decompose_char_simple(q: PermGroup) -> tuple[SimpleTypeId, int]:
 
 def _chief_factors(g: PermGroup) -> Iterator[tuple[PermGroup, PermGroup, SimpleTypeId, int]]:
     """(lo, hi, simple type, multiplicity) for each step lo < hi of
-    chief_series(g), ascending; hi/lo is isomorphic to the type's power."""
+    chief_series(g), ascending. hi/lo is characteristically simple, so
+    section_type reads its type off its order, with no quotient."""
     series = chief_series(g)
     for lo, hi in zip(series, series[1:]):
-        q, _ = quotient(hi, lo)
-        yield lo, hi, *decompose_char_simple(q)
+        yield lo, hi, *section_type(hi, lo)
 
 
 def composition_factors(g: PermGroup) -> dict[str, int]:
@@ -288,11 +294,12 @@ def composition_factors(g: PermGroup) -> dict[str, int]:
 
     Computed by refining a chief series: a chief factor isomorphic to S^k
     contributes k composition factors S. The multiset does not depend on the
-    chosen series. A group of order p^k has k factors Cp and builds no lattice.
+    chosen series. A group of order p^k is one section (Cp)^k for this count,
+    so it builds no lattice and may be in chain mode.
     """
-    is_pp, p = _is_prime_power(g.order)
-    if is_pp:
-        return {SimpleTypeId.cyclic(p).name: next(k for k in range(g.order) if p**k == g.order)}
+    if prime_power_base(g.order):
+        tid, k = section_type(g, PermGroup.trivial(g.degree))
+        return {tid.name: k}
     out: dict[str, int] = {}
     for _lo, _hi, tid, k in _chief_factors(g):
         out[tid.name] = out.get(tid.name, 0) + k
@@ -302,22 +309,11 @@ def composition_factors(g: PermGroup) -> dict[str, int]:
 # -- central decompositions --------------------------------------------------
 
 
-def _is_prime_power(n: int) -> tuple[bool, int]:
-    for p in range(2, n + 1):
-        if p * p > n:
-            return True, n
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1, p
-    return False, 0
-
-
 def _abelian_split(g: PermGroup) -> Optional[list[PermGroup]]:
     if g.is_trivial():
         return None
-    is_pp, p = _is_prime_power(g.order)
-    if not is_pp:
+    p = prime_power_base(g.order)
+    if not p:
         # Elements of p-power order form one factor, elements of order prime
         # to p the other; both are proper and together they span g.
         p = min(q for q in range(2, g.order + 1) if g.order % q == 0)

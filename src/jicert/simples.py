@@ -1,14 +1,15 @@
-"""Isomorphism types of finite simple groups, identified by numeric invariants.
+"""Isomorphism types of finite simple groups, read off the order of a section.
 
 The shipped table lists every nonabelian finite simple group of order at most
-10^6 together with the order of its Schur multiplier. Within that range the
-group order determines the isomorphism type except at order 20160, where the
-maximal element order separates the two types.
+10^6 together with the order of its Schur multiplier. A simple type is its
+table row, a name and an order, and a characteristically simple section S^k
+is named by its order alone (see section_type).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from pathlib import Path
 from typing import NamedTuple
 
@@ -17,9 +18,8 @@ from .group import PermGroup, conjugacy_classes, is_prime
 
 _DATA_PATH = Path(__file__).parent / "data" / "schur_multipliers.txt"
 
-# order 20160 is realized by two isomorphism types; maximal element order
-# separates them
-_MAX_ELEMENT_ORDER = {("A8", 20160): 15, ("PSL(3,4)", 20160): 7}
+# the two simple types of order 20160, told apart by their largest element order
+_MAX_ELEMENT_ORDER = {"A8": 15, "PSL(3,4)": 7}
 
 
 class SimpleGroupRow(NamedTuple):
@@ -28,32 +28,11 @@ class SimpleGroupRow(NamedTuple):
     multiplier_order: int
 
 
-class SimpleTypeId:
-    """Immutable label for the isomorphism type of a finite simple group.
+class SimpleTypeId(NamedTuple):
+    """A finite simple group's type: Cp, or its table row's name, and its order."""
 
-    Two ids are equal exactly when order and fingerprint agree; the name is a
-    human-readable synonym derived from them. A plain class rather than a
-    named tuple, so that != follows the == below.
-    """
-
-    __slots__ = ("name", "order", "fingerprint")
-
-    def __init__(self, name: str, order: int, fingerprint: tuple[tuple[int, int], ...]):
-        for field, value in zip(self.__slots__, (name, order, fingerprint)):
-            object.__setattr__(self, field, value)
-
-    def __setattr__(self, name: str, _value: object = None) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of SimpleTypeId")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SimpleTypeId):
-            return NotImplemented
-        return self.order == other.order and self.fingerprint == other.fingerprint
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.fingerprint))
+    name: str
+    order: int
 
     @property
     def is_cyclic(self) -> bool:
@@ -63,7 +42,7 @@ class SimpleTypeId:
     def cyclic(p: int) -> SimpleTypeId:
         if not is_prime(p):
             raise ValueError(f"cyclic simple groups have prime order, not {p}")
-        return SimpleTypeId(name=f"C{p}", order=p, fingerprint=((1, 1), (p, p - 1)))
+        return SimpleTypeId(f"C{p}", p)
 
     def __repr__(self) -> str:
         return f"SimpleTypeId({self.name}, order={self.order})"
@@ -131,26 +110,51 @@ def simple_table_rows() -> tuple[SimpleGroupRow, ...]:
     return tuple(rows)
 
 
-def identify_simple_type(s: PermGroup) -> SimpleTypeId:
-    """Canonical SimpleTypeId of a simple group; ValueError if not simple.
+def prime_power_base(n: int) -> int:
+    """The prime p with n = p^k for some k >= 1, or 0."""
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    while n > 1 and n % p == 0:
+        n //= p
+    return p if n == 1 < p else 0
 
-    Nonabelian types beyond the shipped table bound are reported as unknown
-    rather than guessed.
+
+def max_coset_order(hi: PermGroup, lo: PermGroup) -> int:
+    """The largest order of an element x*lo of the section hi/lo (lo normal in
+    hi): the least d dividing x.order() with x**d in lo."""
+    best = 1
+    for x in hi.elements():
+        o = x.order()
+        if o > best:
+            best = max(best, next(d for d in range(1, o + 1) if o % d == 0 and lo.contains(x**d)))
+    return best
+
+
+def section_type(hi: PermGroup, lo: PermGroup) -> tuple[SimpleTypeId, int]:
+    """(S, k) for a characteristically simple section hi/lo, isomorphic to S^k.
+
+    Read off m = |hi|/|lo|: Cp when m = p^k (no nonabelian simple group has
+    prime-power order), else the one table row whose order has k-th power m,
+    with the largest coset order picking A8 or PSL(3,4) at 20160 (the only
+    case that lists elements). Anything else raises UnknownGroupError.
     """
+    m = hi.order // lo.order
+    p = prime_power_base(m)
+    if p:
+        return SimpleTypeId.cyclic(p), next(k for k in range(1, m) if p**k == m)
+    rows = simple_table_rows()
+    fits = [(r, k) for r in rows for k in range(1, m.bit_length()) if r.order**k == m]
+    if len(fits) > 1 and all(k == 1 for _r, k in fits):
+        top = max_coset_order(hi, lo)
+        fits = [(r, k) for r, k in fits if _MAX_ELEMENT_ORDER.get(r.name) == top]
+    if len(fits) != 1:
+        raise UnknownGroupError(f"no single simple type S in table with |S|^k = {m}")
+    [(row, k)] = fits
+    return SimpleTypeId(row.name, row.order), k
+
+
+def identify_simple_type(s: PermGroup) -> SimpleTypeId:
+    """The SimpleTypeId of a simple group; ValueError if not simple, and
+    UnknownGroupError, not a guess, for a type beyond the table bound."""
     if not is_simple(s):
         raise ValueError("input group is not simple")
-    if is_prime(s.order):
-        return SimpleTypeId.cyclic(s.order)
-    hits = [r for r in simple_table_rows() if r.order == s.order]
-    if not hits:
-        raise UnknownGroupError(f"no nonabelian simple group of order {s.order} in table")
-    fp = element_order_multiset(s)
-    if len(hits) == 1:
-        return SimpleTypeId(name=hits[0].name, order=s.order, fingerprint=fp)
-    max_order = fp[-1][0]
-    for row in hits:
-        if _MAX_ELEMENT_ORDER.get((row.name, row.order)) == max_order:
-            return SimpleTypeId(name=row.name, order=s.order, fingerprint=fp)
-    raise UnknownGroupError(
-        f"ambiguous simple order {s.order} with unrecognized maximal element order {max_order}"
-    )
+    return section_type(s, PermGroup.trivial(s.degree))[0]

@@ -14,7 +14,7 @@ subgroup H by all such x outside it reaches everything.
 from operator import itemgetter
 
 from jicert.group import ElementIndex, PermGroup, _push_cosets
-from jicert.lattice import _is_prime_power
+from jicert.simples import prime_power_base
 
 
 def all_subgroups(g: PermGroup, n: PermGroup | None = None) -> tuple[PermGroup, ...]:
@@ -71,8 +71,8 @@ def cyclic_generators(index: ElementIndex, span: frozenset[int]) -> list[int]:
         if j in skip:
             continue
         n = index.elems[j].order()
-        is_pp, p = _is_prime_power(n)
-        if not is_pp:
+        p = prime_power_base(n)
+        if not p:
             continue
         out.append(j)
         # x^k generates <x> exactly when p does not divide k

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from jicert import (
@@ -7,9 +10,11 @@ from jicert import (
     class_from_names,
     count_class_factors,
     direct_product,
+    identify_simple_type,
     schur_closure_check,
     symmetric,
 )
+from jicert.cli import main
 from jicert.errors import KernelBugError
 from jicert.group import center, derived_subgroup
 from jicert.hom import quotient
@@ -137,10 +142,24 @@ def test_count_class_factors():
 
 
 def test_class_membership_identity():
-    # name-based ids are distinct from identified ids unless fingerprints match
+    # a name-built id is the table row's (name, order), equal to the identified id
     table = SchurTable.load()
-    by_name = class_from_names(["A5"], table)
-    (tid,) = by_name.members
-    assert tid.fingerprint == ()
-    assert tid.order == 60
+    (tid,) = class_from_names(["A5"], table).members
+    assert (tid.name, tid.order) == ("A5", 60)
+    assert tid == identify_simple_type(alternating(5))
     assert SimpleTypeId.cyclic(2) in class_from_names(["C2"], table).members
+
+
+@pytest.mark.parametrize("names", [["A8", "PSL(3,4)"], ["PSL(3,4)", "A8"]])
+def test_class_keeps_both_order_20160_members(names):
+    cls = class_from_names(names, SchurTable.load())
+    assert cls.member_names == {"A8", "PSL(3,4)"}
+    assert len(cls.members) == 2
+
+
+def test_count_class_report_lists_both_order_20160_members(tmp_path, capsys):
+    prefix = Path(__file__).parent / "data" / "s4_s3_prefix.json"
+    out = tmp_path / "report.json"
+    assert main(["check", str(prefix), "--count-class", "A8,PSL(3,4)", "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["class_factor_counts"]["members"] == ["A8", "PSL(3,4)"]

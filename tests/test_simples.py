@@ -6,6 +6,7 @@ from jicert import (
     Permutation,
     UnknownGroupError,
     alternating,
+    composition_factors,
     cyclic,
     dihedral,
     group_fingerprint,
@@ -148,6 +149,13 @@ def test_order_20160_disambiguation():
     assert element_order_multiset(g)[-1][0] == 7
 
     assert identify_simple_type(a8) != identify_simple_type(g)
+
+
+def test_composition_factors_of_order_20160():
+    """Both order-20160 types are read off the order and the largest element
+    order, with no quotient of the regular representation."""
+    assert composition_factors(alternating(8)) == {"A8": 1}
+    assert composition_factors(psl34()) == {"PSL(3,4)": 1}
 
 
 def test_unknown_order_reported(monkeypatch):
