@@ -5,6 +5,13 @@ at the boundary. The chain is built incrementally and every strong generator
 is verified by sifting all of its Schreier generators, so the result is exact
 with no randomization anywhere.
 
+A residual that sifting a Schreier generator of level i leaves at level j
+joins the generators of levels i+1..j only (Holt, Eick and O'Brien, Handbook
+of Computational Group Theory, 4.4.2). It is a product of elements of the
+group of level i, which lies in the group of every earlier level, so a copy
+there would only add Schreier generators that sift to nothing. A new input
+generator still joins levels 0..j.
+
 A chain grows in place: add inserts one more generator and checks that the
 grown chain contains it. elements lists the group once, each element one
 product of transversal elements, which is how dense groups get their element
@@ -156,15 +163,15 @@ class StabilizerChain:
         while level.frontier:
             p, gi = level.frontier.popleft()
             s = level.gens[gi]
-            g = _mul(level.tr_inv[s[p]], _mul(s, level.tr[p]))
-            if g == idt:
+            su = _mul(s, level.tr[p])
+            if su == level.tr[s[p]]:
                 continue
-            h, j = self._sift_from(g, i + 1)
+            h, j = self._sift_from(_mul(level.tr_inv[s[p]], su), i + 1)
             if h == idt:
                 continue
             if j == len(self.levels):
                 self._new_level(min(x for x in range(self.degree) if h[x] != x))
-            for k in range(j + 1):
+            for k in range(i + 1, j + 1):
                 self._add_gen(k, h)
 
     def _sift_from(self, g: tuple, start: int) -> tuple[tuple, int]:

@@ -9,6 +9,7 @@ check is merely bounded, so the run is inconclusive rather than failed,
 from __future__ import annotations
 
 import argparse
+import gc
 import pathlib
 import re
 import sys
@@ -225,5 +226,12 @@ def main(argv=None) -> int:
         return 4
 
 
+def run(argv=None) -> int:
+    """main() for a process about to exit; gc.freeze() spares it the final collection."""
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,15 +1,18 @@
 """Start-up without dataclasses: a bare `import jicert.cli` loads neither
 dataclasses nor inspect, and the value types that were dataclasses keep
-their behaviour as named tuples and slotted classes."""
+their behaviour as named tuples and slotted classes. Exit through
+jicert.cli.run: a CLI process prints and writes what an in-process main()
+does."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from jicert import parse_system
+from jicert import build_wreath_tower, parse_system
 from jicert.certifier import (
     CertifyOptions,
     CheckResult,
@@ -19,10 +22,12 @@ from jicert.certifier import (
     SystemVerdict,
 )
 from jicert.classdata import SchurClosureVerdict, SchurTable, SimpleClass
-from jicert.prefixes import StageRecord
+from jicert.cli import main
+from jicert.prefixes import StageRecord, serialize_system
 from jicert.simples import SimpleTypeId
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 DATA = Path(__file__).parent / "data"
 
 
@@ -148,3 +153,65 @@ def test_system_prefix_equality_and_hash_follow_records():
     assert marked.records != first.records
     assert marked != first
     assert first != first.records
+
+
+def _exit_cases(tmp_path):
+    golden = str(DATA / "s4_s3_prefix.json")
+    chain_tower = tmp_path / "a5_chain.json"
+    chain_tower.write_text(serialize_system(build_wreath_tower([("A5", 5)], 2, chain_mode=True)))
+    flags = ["--wilson", "--commuting-conjugates", "--strengthened", "--count-class", "C2,C3"]
+    return [
+        (0, ["check", golden, *flags]),
+        (1, ["check", str(DATA / "cyclic2_tower.json")]),
+        (2, ["check", str(tmp_path / "missing.json")]),
+        (2, ["check", golden, "--no-such-flag"]),
+        (3, ["check", str(chain_tower), "--wilson"]),
+    ]
+
+
+def test_cli_process_matches_in_process_main(tmp_path, capsys):
+    for code, args in _exit_cases(tmp_path):
+        json_args = [] if code == 2 else ["--json", "report.json"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "jicert.cli", *args, *json_args],
+            cwd=tmp_path,
+            env={"PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+        )
+        report = tmp_path / "report.json"
+        from_process = report.read_bytes() if json_args else None
+        report.unlink(missing_ok=True)
+        with pytest.MonkeyPatch.context() as m:
+            m.chdir(tmp_path)
+            try:
+                in_process = main([*args, *json_args])
+            except SystemExit as exc:
+                in_process = exc.code
+        out, err = capsys.readouterr()
+        assert proc.returncode == in_process == code, args
+        assert (proc.stdout, proc.stderr) == (out, err), args
+        assert from_process == (report.read_bytes() if json_args else None), args
+        report.unlink(missing_ok=True)
+
+
+def test_run_returns_the_code_of_main_and_freezes_the_heap():
+    code = (
+        "import gc, sys, jicert.cli as cli; "
+        f"code = cli.run(['check', {str(DATA / 's4_s3_prefix.json')!r}]); "
+        "print(code, gc.get_freeze_count() > 0, file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stderr == "0 True\n"
+
+
+def test_console_script_enters_through_run():
+    text = (ROOT / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", text, re.M | re.S).group(1)
+    assert scripts.strip() == 'jicert = "jicert.cli:run"'
