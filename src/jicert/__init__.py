@@ -67,7 +67,7 @@ from .group import (
     subgroup_generated,
     wreath_product,
 )
-from .hom import GroupHom, quotient
+from .hom import GroupHom
 from .lattice import (
     CriticalPair,
     central_decomposition,
@@ -76,7 +76,6 @@ from .lattice import (
     chief_series,
     composition_factors,
     critical_pairs,
-    decompose_char_simple,
     find_critical_refinement,
     is_critical_pair,
     maximal_normal_subgroups,
@@ -104,7 +103,6 @@ from .prefixes import (
 from .report import TOOL_VERSION, emit_report, input_digest, make_report, parse_report
 from .simples import (
     SimpleTypeId,
-    group_fingerprint,
     identify_simple_type,
     is_simple,
     simple_table_rows,

@@ -537,11 +537,14 @@ def centralizer_of_section(parent: PermGroup, a: PermGroup, b: PermGroup) -> Per
     for sub in (a, b):
         if not sub.is_normal_in(parent):
             raise NotNormalError("section centralizer needs normal A and B")
-    agens = a.generators
-    hits = frozenset(
-        g for g in parent.elements() if all(b.contains(comm(x, g)) for x in agens)
-    )
-    return PermGroup.from_element_set(parent.degree, hits)
+    # [x, g] = x^-1 * g^-1 * x * g, with each inverse formed once
+    pairs = [(x.inverse(), x) for x in a.generators]
+    hits = []
+    for g in parent.elements():
+        g_inv = g.inverse()
+        if all(b.contains(x_inv * g_inv * x * g) for x_inv, x in pairs):
+            hits.append(g)
+    return PermGroup.from_element_set(parent.degree, frozenset(hits))
 
 
 def lower_central_series(g: PermGroup) -> list[PermGroup]:

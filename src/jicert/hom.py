@@ -1,4 +1,4 @@
-"""Homomorphisms between permutation groups; kernels, preimages, quotients.
+"""Homomorphisms between permutation groups; kernels and preimages.
 
 Every map is validated by its graph group: the subgroup of Sym(source points +
 shifted target points) generated by the paired permutations (g, phi(g)). The
@@ -25,7 +25,6 @@ the chain; under a chain source they keep the chain's generators.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Sequence
 
 from .chain import StabilizerChain
@@ -34,10 +33,8 @@ from .errors import (
     HomomorphismError,
     KernelBugError,
     MembershipError,
-    NeedsDenseModeError,
-    NotNormalError,
 )
-from .group import DEFAULT_DENSE_BOUND, PermGroup, _normalize_gens, subgroup_generated
+from .group import DEFAULT_DENSE_BOUND, PermGroup, subgroup_generated
 from .perm import Permutation
 
 
@@ -172,75 +169,3 @@ class GroupHom:
             pre = subgroup_generated(self.source, gens)
             return PermGroup.from_element_set(ds, pre.elements())
         return PermGroup.from_generators(ds, gens, mode="chain")
-
-    def compose(self, inner: GroupHom) -> GroupHom:
-        """self after inner."""
-        if inner.target.degree != self.source.degree:
-            raise DegreeMismatchError("composition degree mismatch")
-        images = tuple(self(inner(g)) for g in inner.source.generators)
-        return GroupHom(inner.source, self.target, images)
-
-
-def quotient(g: PermGroup, n: PermGroup) -> tuple[PermGroup, GroupHom]:
-    """G/N in its regular action on right cosets, plus the projection.
-
-    The action is by left translation, Nx -> N(gx): on right cosets of a
-    normal subgroup that is a homomorphism under this composition order,
-    while right translation would compose the other way around. Cosets are
-    labeled 0..index-1 in lexicographic order of their least member, so the
-    construction is independent of traversal order. The identity coset is
-    always point 0.
-
-    The breadth-first search over cosets records which coset and generator
-    first reached each coset. Each element of G/N, the image of a coset's
-    representative x * gen, is then read off that tree with one product,
-    lam(x * gen) = lam(x) * lam(gen), so the regular action is never closed.
-    """
-    if g.mode != "dense":
-        raise NeedsDenseModeError("quotients enumerate cosets of the element table")
-    if not n.is_normal_in(g):
-        raise NotNormalError("quotient modulus must be normal")
-    index = g.order // n.order
-    if index > DEFAULT_DENSE_BOUND:
-        raise NeedsDenseModeError(f"quotient index {index} exceeds dense bound")
-    n_elems = n.elements()
-    elem_to_coset: dict[Permutation, int] = {}
-    coset_mins: list[Permutation] = []
-    # coset c was first reached from its representative x as x * generators[via[c]],
-    # where x represents coset up[c]
-    up: list[int] = []
-    via: list[int] = []
-    queue = deque([(g.identity, -1, -1)])
-    while queue:
-        x, parent, step = queue.popleft()
-        if x in elem_to_coset:
-            continue
-        coset = [m * x for m in n_elems]
-        idx = len(coset_mins)
-        coset_mins.append(min(coset))
-        up.append(parent)
-        via.append(step)
-        for y in coset:
-            elem_to_coset[y] = idx
-        for k, gen in enumerate(g.generators):
-            y = x * gen
-            if y not in elem_to_coset:
-                queue.append((y, idx, k))
-    order = sorted(range(len(coset_mins)), key=lambda i: coset_mins[i].images)
-    relabel = {old: new for new, old in enumerate(order)}
-    reps = [coset_mins[old] for old in order]
-    gen_images = []
-    for gen in g.generators:
-        gen_images.append(
-            Permutation._raw(tuple(relabel[elem_to_coset[gen * reps[i]]] for i in range(index)))
-        )
-    lam = [Permutation.identity(index)]
-    for c in range(1, len(up)):
-        lam.append(lam[up[c]] * gen_images[via[c]])
-    q = PermGroup(
-        degree=index, mode="dense", gens=_normalize_gens(index, gen_images), elements=frozenset(lam)
-    )
-    if q.order != index:
-        raise KernelBugError("regular coset action has the wrong order")
-    proj = GroupHom(g, q, gen_images)
-    return q, proj

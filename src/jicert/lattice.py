@@ -12,7 +12,6 @@ element index.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import KernelBugError, NeedsDenseModeError, NotNormalError
@@ -23,19 +22,11 @@ from .group import (
     centralizer_of_section,
     e_p_subgroup,
     intersection,
-    normal_closure,
     product_order,
     subgroup_generated,
 )
-from .hom import quotient
 from .perm import Permutation
-from .simples import (
-    SimpleTypeId,
-    group_fingerprint,
-    identify_simple_type,
-    prime_power_base,
-    section_type,
-)
+from .simples import SimpleTypeId, prime_power_base, section_type
 
 
 class CriticalPair(NamedTuple):
@@ -228,6 +219,10 @@ def find_critical_refinement(g: PermGroup, k: PermGroup, lsub: PermGroup) -> Cri
     Minimality of A forces A*lsub = k, A/B isomorphic to k/lsub with the same
     section centralizer, and criticality of (A, B); all four consequences are
     re-verified on the output and a violation is reported as a kernel bug.
+    Both sections are chief factors, so each is S^m for a simple S, and they
+    are isomorphic when section_type gives both the same (S, m); a nonabelian
+    factor beyond the shipped table raises UnknownGroupError, as in
+    composition_factors.
     """
     for sub in (k, lsub):
         if not sub.is_normal_in(g):
@@ -244,9 +239,7 @@ def find_critical_refinement(g: PermGroup, k: PermGroup, lsub: PermGroup) -> Cri
     b = intersection(a, lsub)
     if product_order(a, lsub) != k.order:
         raise KernelBugError("refinement does not generate the chief factor top")
-    qa, _ = quotient(a, b)
-    qk, _ = quotient(k, lsub)
-    if group_fingerprint(qa) != group_fingerprint(qk):
+    if section_type(a, b) != section_type(k, lsub):
         raise KernelBugError("refined section is not isomorphic to the chief factor")
     if centralizer_of_section(g, a, b) != centralizer_of_section(g, k, lsub):
         raise KernelBugError("refined section has a different centralizer")
@@ -254,30 +247,6 @@ def find_critical_refinement(g: PermGroup, k: PermGroup, lsub: PermGroup) -> Cri
     if not ok:
         raise KernelBugError("refined pair is not critical")
     return CriticalPair(a, b)
-
-
-def decompose_char_simple(q: PermGroup) -> tuple[SimpleTypeId, int]:
-    """Write a characteristically simple group as (simple type, multiplicity).
-
-    Abelian inputs must be elementary abelian; nonabelian inputs must be a
-    direct power of a simple group, whose isomorphism type is read off any
-    minimal normal subgroup. Anything else raises ValueError, which signals
-    that the input was not a chief factor.
-    """
-    if q.is_trivial():
-        raise ValueError("the trivial group is not characteristically simple")
-    if q.is_abelian():
-        p = min(x.order() for x in q.elements() if not x.is_identity())
-        k = round(math.log(q.order, p))
-        if p**k != q.order or any(x.order() not in (1, p) for x in q.elements()):
-            raise ValueError("abelian input is not elementary abelian")
-        return SimpleTypeId.cyclic(p), k
-    s = minimal_normal_subgroups(q)[0]
-    tid = identify_simple_type(s)
-    k = round(math.log(q.order, s.order))
-    if s.order**k != q.order:
-        raise ValueError("input is not a direct power of a simple group")
-    return tid, k
 
 
 def _chief_factors(g: PermGroup) -> Iterator[tuple[PermGroup, PermGroup, SimpleTypeId, int]]:
@@ -322,22 +291,23 @@ def _abelian_split(g: PermGroup) -> Optional[list[PermGroup]]:
         return [subgroup_generated(g, part), subgroup_generated(g, rest)]
     if max(x.order() for x in g.elements()) == g.order:
         return None  # cyclic of prime power order: the subgroup lattice is a chain
-    # Non-cyclic abelian p-group: pull back two distinct hyperplanes of the
-    # quotient by the p-th powers.
-    ep = e_p_subgroup(g, p)
-    q, proj = quotient(g, ep)
+    # Non-cyclic abelian p-group: with x_1..x_r the least elements that span g
+    # over its Frattini subgroup phi = g^p, <phi, x_1..x_(r-1)> and
+    # <phi, x_2..x_r> are two distinct maximal subgroups.
+    phi = e_p_subgroup(g, p)
     basis: list[Permutation] = []
-    span = PermGroup.trivial(q.degree)
-    for x in q.sorted_elements():
+    span = phi
+    for x in g.sorted_elements():
         if span.contains(x):
             continue
         basis.append(x)
-        span = subgroup_generated(q, basis)
-        if span.order == q.order:
+        span = subgroup_generated(g, [*phi.generators, *basis])
+        if span.order == g.order:
             break
-    w1 = subgroup_generated(q, basis[:-1])
-    w2 = subgroup_generated(q, basis[1:])
-    return [proj.preimage(w1), proj.preimage(w2)]
+    w1 = subgroup_generated(g, [*phi.generators, *basis[:-1]])
+    w2 = subgroup_generated(g, [*phi.generators, *basis[1:]])
+    # named by the greedy generators of their element sets, however they were closed
+    return [PermGroup.from_element_set(g.degree, w.elements()) for w in (w1, w2)]
 
 
 def _is_ppow(n: int, p: int) -> bool:

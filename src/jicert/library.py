@@ -10,7 +10,6 @@ import re
 
 from .errors import UnknownGroupError
 from .group import PermGroup, center, direct_product
-from .hom import quotient
 from .perm import Permutation
 
 
@@ -86,15 +85,18 @@ def central_product(a: PermGroup, b: PermGroup) -> PermGroup:
 
     Each factor must have at least one central involution; the
     lexicographically least one is identified. The result is returned in its
-    regular coset action.
+    regular action on the cosets {x, xz} of the glued involution z, each
+    labeled by the rank of its least member; a generator t sends coset r to
+    coset t * r.
     """
     za = _least_central_involution(a)
     zb = _least_central_involution(b)
     prod = direct_product(a, b)
     glued = Permutation(tuple(za.images) + tuple(a.degree + i for i in zb.images))
-    diag = PermGroup.from_generators(prod.degree, [glued])
-    q, _ = quotient(prod, diag)
-    return q
+    reps = sorted(x for x in prod.elements() if x < x * glued)
+    label = {y: i for i, r in enumerate(reps) for y in (r, r * glued)}
+    gens = [Permutation._raw(tuple(label[t * r] for r in reps)) for t in prod.generators]
+    return PermGroup.from_generators(len(reps), gens)
 
 
 def _least_central_involution(g: PermGroup) -> Permutation:

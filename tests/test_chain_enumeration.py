@@ -13,7 +13,6 @@ from jicert import (
     PermGroup,
     alternating,
     normal_subgroups,
-    quotient,
     subgroup_generated,
     symmetric,
     wreath_product,
@@ -21,6 +20,7 @@ from jicert import (
 from jicert.chain import StabilizerChain
 from jicert.group import _normalize_gens, normal_closure
 from jicert.perm import Permutation
+from quotient_ref import quotient
 from test_index_closure import _extend_closure, tower_stages
 from test_sweep import _relabelled_subgroup
 

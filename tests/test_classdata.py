@@ -17,9 +17,9 @@ from jicert import (
 from jicert.cli import main
 from jicert.errors import KernelBugError
 from jicert.group import center, derived_subgroup
-from jicert.hom import quotient
 from jicert.library import sl2
 from jicert.simples import SimpleGroupRow, SimpleTypeId, is_simple
+from quotient_ref import quotient
 
 
 def test_load_applies_bound():

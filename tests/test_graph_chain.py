@@ -23,7 +23,6 @@ from jicert import (
     build_wreath_tower,
     cyclic,
     parse_system,
-    quotient,
     serialize_system,
     subgroup_generated,
     symmetric,
@@ -31,6 +30,7 @@ from jicert import (
 from jicert.chain import StabilizerChain
 from jicert.cli import main
 from jicert.group import _normalize_gens
+from quotient_ref import quotient
 from test_hom import _chain_twin, sign_map
 
 DATA = Path(__file__).parent / "data"

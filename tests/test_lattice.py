@@ -1,6 +1,11 @@
+from functools import reduce
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+import quotient_ref
 from full_sweep import all_subgroups
 from jicert import (
     NotNormalError,
@@ -19,11 +24,17 @@ from jicert import (
     maximal_normal_subgroups,
     minimal_normal_subgroups,
     normal_subgroups,
+    parse_system,
     subgroup_generated,
     symmetric,
 )
 from jicert.group import center, intersection, product_order
-from jicert.lattice import chief_factor_pairs, decompose_char_simple
+from jicert.lattice import _abelian_split, chief_factor_pairs
+from jicert.simples import prime_power_base
+from quotient_ref import decompose_char_simple
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def elem_tuples(g):
@@ -180,6 +191,49 @@ def test_central_decomposition_known_cases(corpus):
         assert central_decomposition(corpus[name]) is not None, name
     for name in ("C1", "C2", "C8", "S4", "A5", "Q8", "D4", "SL(2,3)"):
         assert central_decomposition(corpus[name]) is None, name
+
+
+def _split_subjects(g):
+    """The non-cyclic abelian p-groups among the normal subgroups of g, with
+    their primes: the groups that _abelian_split splits over Frattini."""
+    for n in normal_subgroups(g):
+        p = prime_power_base(n.order)
+        if p and n.is_abelian() and max(x.order() for x in n.elements()) < n.order:
+            yield n, p
+
+
+def assert_split_matches_reference(name, g, p):
+    got, want = _abelian_split(g), quotient_ref.abelian_split(g, p)
+    assert [h.elements() for h in got] == [h.elements() for h in want], name
+    assert [h.generators for h in got] == [h.generators for h in want], name
+
+
+def test_abelian_split_matches_quotient_reference(small_corpus):
+    checked = 0
+    stages = dict(small_corpus)
+    for path in ("s4_s3_prefix.json", "cyclic2_tower.json"):
+        for i, g in enumerate(parse_system((DATA / path).read_text()).groups):
+            stages[f"{path}[{i}]"] = g
+    for name, g in stages.items():
+        for n, p in _split_subjects(g):
+            assert_split_matches_reference(f"{name} > {n.order}", n, p)
+            checked += 1
+    assert checked >= 20
+
+
+def _cyclic_p_product(p, exponents):
+    return reduce(direct_product, [cyclic(p**e) for e in exponents])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5))
+    .flatmap(lambda p: st.tuples(st.just(p), st.lists(st.integers(1, 3), min_size=2, max_size=4)))
+    .filter(lambda pe: pe[0] ** sum(pe[1]) <= 2048)
+)
+def test_abelian_split_matches_quotient_reference_on_products(drawn):
+    p, exponents = drawn
+    assert_split_matches_reference(drawn, _cyclic_p_product(p, exponents), p)
 
 
 def test_centdec_witness_contract():

@@ -6,13 +6,15 @@ from jicert import (
     central_product,
     cyclic,
     dihedral,
+    direct_product,
     named_group,
     quaternion8,
     sl2,
     symmetric,
 )
 from jicert.group import center, derived_subgroup
-from jicert.simples import group_fingerprint
+import quotient_ref
+from quotient_ref import group_fingerprint
 
 
 def test_orders():
@@ -71,6 +73,23 @@ def test_central_product_d4_c4():
     h = central_product(quaternion8(), cyclic(4))
     assert h.order == 16
     assert group_fingerprint(g) == group_fingerprint(h)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (dihedral(4), cyclic(4)),
+        (quaternion8(), cyclic(4)),
+        (dihedral(4), quaternion8()),
+        (cyclic(4), cyclic(4)),
+        (direct_product(cyclic(2), cyclic(2)), dihedral(4)),
+    ],
+    ids=["D4oC4", "Q8oC4", "D4oQ8", "C4oC4", "V4oD4"],
+)
+def test_central_product_matches_quotient_reference(a, b):
+    got, want = central_product(a, b), quotient_ref.central_product(a, b)
+    assert got.generators == want.generators
+    assert got.sorted_elements() == want.sorted_elements()
 
 
 def test_central_product_needs_central_involution():

@@ -9,16 +9,15 @@ from jicert import (
     composition_factors,
     cyclic,
     dihedral,
-    group_fingerprint,
     identify_simple_type,
     is_simple,
-    quotient,
     sl2,
     symmetric,
 )
 from jicert import simples
 from jicert.group import center
-from jicert.simples import SimpleGroupRow, SimpleTypeId, element_order_multiset, simple_table_rows
+from jicert.simples import SimpleGroupRow, SimpleTypeId, simple_table_rows
+from quotient_ref import element_order_multiset, group_fingerprint, quotient
 
 
 # -- F4 linear algebra for the order-20160 ambiguity ---------------------------
