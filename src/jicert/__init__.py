@@ -46,7 +46,6 @@ from .errors import (
     JicertError,
     KernelBugError,
     MembershipError,
-    NeedsDenseModeError,
     NotNormalError,
     UnknownGroupError,
 )

@@ -8,8 +8,8 @@ verdict statuses are:
     fail            it does not; a witness is attached
     not-applicable  the stage lacks the marks or structure the check needs
     bounded         a subgroup sweep was skipped because the group exceeds
-                    the subgroup bound, or has no element table because it
-                    exceeds the dense bound, so the result is inconclusive
+                    the subgroup bound, or the dense bound, past which no
+                    element table is built, so the result is inconclusive
 
 A bounded check is never reported as a pass.  certify_system never trusts
 kernels or marks from the input file beyond what parse-time validation
@@ -26,11 +26,11 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .classdata import SchurTable, SimpleClass, count_class_factors
 from .errors import (
+    DenseBoundExceededError,
     DerivationError,
     HomomorphismError,
     JicertError,
     KernelBugError,
-    NeedsDenseModeError,
     NotNormalError,
 )
 from .group import (
@@ -689,15 +689,15 @@ def _merge_or_bound(
 ) -> None:
     """Merge check(*args, **kwargs), or mark names bounded when the stage is too big.
 
-    A stage above the dense bound is held as a stabilizer chain, and the
-    normal-subgroup and subgroup sweeps need its element table.
+    A stage above the dense bound builds no element table, and the
+    normal-subgroup and subgroup sweeps need one.
     """
     try:
         src = check(*args, **kwargs)
-    except NeedsDenseModeError as exc:
+    except DenseBoundExceededError:
         note = (
             f"stage {target.stage_index} of order {target.order} is above "
-            f"--dense-bound and kept as a stabilizer chain: {exc}"
+            "--dense-bound and kept as a stabilizer chain"
         )
         for name in names:
             target.checks[name] = CheckResult(BOUNDED, note=note)

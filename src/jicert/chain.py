@@ -14,8 +14,8 @@ generator still joins levels 0..j.
 
 A chain grows in place: add inserts one more generator and checks that the
 grown chain contains it. elements lists the group once, each element one
-product of transversal elements, which is how dense groups get their element
-sets.
+product of transversal elements, which is how groups get their element
+tables.
 
 Each new level's base point is the least point its first generator moves.
 A base prefix can also be forced: levels for the prefix points are created

@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 all requested checks pass, 1 some check fails, 2 the input
-could not be used (bad file, bad format, wrong mode), 3 every non-passing
-check is merely bounded, so the run is inconclusive rather than failed,
-4 a defect in jicert: a failed cross-check or an unexpected exception.
+could not be used (bad file, bad format, a stage above --dense-bound where
+an element table is needed), 3 every non-passing check is merely bounded,
+so the run is inconclusive rather than failed, 4 a defect in jicert: a
+failed cross-check or an unexpected exception.
 """
 
 from __future__ import annotations
@@ -79,13 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build-wreath", help="write an iterated wreath tower prefix")
     b.add_argument("spec", help="comma-separated NAME:DEGREE bases, e.g. S3:3,A5:5")
     b.add_argument("--depth", type=int, required=True, help="number of stages")
-    b.add_argument(
-        "--chain",
-        action="store_true",
-        help="allow stages too large for element tables",
-    )
     b.add_argument("-o", "--output", metavar="FILE", help="write here instead of stdout")
-    b.add_argument("--dense-bound", type=int, default=DEFAULT_DENSE_BOUND)
     b.set_defaults(func=cmd_build)
 
     l = sub.add_parser("lattice", help="print the normal structure of one stage")
@@ -167,12 +162,7 @@ def _parse_specs(text: str) -> list[tuple[str, int]]:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    prefix = build_wreath_tower(
-        _parse_specs(args.spec),
-        args.depth,
-        chain_mode=args.chain,
-        dense_bound=args.dense_bound,
-    )
+    prefix = build_wreath_tower(_parse_specs(args.spec), args.depth)
     text = serialize_system(prefix)
     if args.output:
         pathlib.Path(args.output).write_text(text)

@@ -12,20 +12,16 @@ class DegreeMismatchError(JicertError):
 
 
 class DenseBoundExceededError(JicertError):
-    """A dense group was asked for whose order exceeds the dense-mode bound.
+    """An element table was asked of a group whose order exceeds its bound.
 
     Raised on the order of the group's stabilizer chain, before any element
-    is enumerated. Signals the caller to rebuild the group in chain mode.
+    is enumerated; the group stays usable through its chain.
     """
 
     def __init__(self, order: int, bound: int):
         super().__init__(f"group order {order} exceeds dense bound {bound}")
         self.order = order
         self.bound = bound
-
-
-class NeedsDenseModeError(JicertError):
-    """The requested operation enumerates elements and the group is chain-mode."""
 
 
 class MembershipError(JicertError):

@@ -1,23 +1,25 @@
-"""Finite permutation groups in two computation modes.
+"""Finite permutation groups: a stabilizer chain, and an element table on demand.
 
-Every group starts as a stabilizer chain, built from its generators or
-handed over (from_chain), which gives its order before any element is
-listed. Dense mode then materializes the full element set, enumerated from the chain with one product per element, and is
-required by anything that scans elements (centralizers, conjugacy classes,
-normal-subgroup lattices). Chain mode keeps the stabilizer chain only and
-scales to groups far past the dense bound; operations that would need the
-element table raise NeedsDenseModeError instead of trying. A dense group
-given by its element set alone gets greedy generators, each tested for
-membership on a chain grown one generator at a time.
+Every group is given by its generators, or by an element set, and carries a
+stabilizer chain that it builds when it first needs one. The chain gives the
+order and membership before any element is listed, so a group may be far past
+any table's reach. The element table is built on first use, from the chain
+with one product per element, and only if the group's order is at most its
+bound; past the bound, elements() raises DenseBoundExceededError before
+enumerating. Anything that scans elements (centralizers, conjugacy classes,
+normal-subgroup lattices) reads the table. A group given by its element set
+alone gets greedy generators, each tested for membership on a chain grown one
+generator at a time.
 
-A dense group also carries an element index, built on first use and kept on
-the group: its elements sorted by image tuple and each element's position.
-Only the generators' multiplication rows are built with permutation
+A group with a table also carries an element index, built on first use and
+kept on the group: its elements sorted by image tuple and each element's
+position. Only the generators' multiplication rows are built with permutation
 products, and the inversion map with one inverse per element; every other
-multiplication or conjugation row is composed from them. Dense closure works
-on sets of positions: normal closures, commutator subgroups, conjugacy
-classes and the invariant-subgroup sweeps (the normal lattice among them)
-all run on the index, so they multiply no permutations per closure step.
+multiplication or conjugation row is composed from them. Closure under a
+parent that may hold a table works on sets of positions: normal closures,
+commutator subgroups, conjugacy classes and the invariant-subgroup sweeps
+(the normal lattice among them) all run on the index, so they multiply no
+permutations per closure step.
 
 All derived orderings (sorted elements, conjugacy classes, generator
 reduction) are deterministic so that downstream reports are byte-stable.
@@ -35,7 +37,6 @@ from .errors import (
     DenseBoundExceededError,
     KernelBugError,
     MembershipError,
-    NeedsDenseModeError,
     NotNormalError,
 )
 from .perm import Permutation, comm
@@ -44,7 +45,7 @@ DEFAULT_DENSE_BOUND = 2_000_000
 
 
 class ElementIndex:
-    """The elements of a dense group sorted by image tuple, and their positions.
+    """The elements of a group's table sorted by image tuple, and their positions.
 
     A subgroup is a set of positions. Sorting positions sorts elements by
     image tuple, so sorted position lists order subgroups as their sorted
@@ -207,12 +208,12 @@ class ElementIndex:
         return out
 
     def subgroup(self, positions: Iterable[int], gens: Sequence[int]) -> PermGroup:
-        """The dense group on a closed set of positions, generated by gens."""
+        """The group on a closed set of positions, generated by gens, with its table."""
         elems = self.elems
         ordered = sorted(positions)
         sub = PermGroup(
             degree=self.degree,
-            mode="dense",
+            bound=len(ordered),
             gens=tuple(elems[j] for j in gens),
             elements=frozenset(elems[i] for i in ordered),
         )
@@ -248,12 +249,13 @@ class PermGroup:
     """A subgroup of Sym({0, ..., degree-1}).
 
     Instances are immutable, unhashable handles. Groups of the same degree
-    compare equal when they contain each other's generators.
+    compare equal when they contain each other's generators. An element
+    table may be built when the order is at most bound.
     """
 
     __slots__ = (
         "degree",
-        "mode",
+        "bound",
         "_gens",
         "_elements",
         "_sorted",
@@ -263,9 +265,9 @@ class PermGroup:
         "_index",
     )
 
-    def __init__(self, *, degree: int, mode: str, gens=None, elements=None, chain=None):
+    def __init__(self, *, degree: int, bound: int, gens=None, elements=None, chain=None):
         self.degree = degree
-        self.mode = mode
+        self.bound = bound
         self._gens = gens
         self._elements = elements
         self._chain = chain
@@ -280,40 +282,16 @@ class PermGroup:
     def from_generators(
         degree: int,
         generators: Iterable[Permutation],
-        mode: str = "dense",
         dense_bound: int = DEFAULT_DENSE_BOUND,
     ) -> PermGroup:
         gens = _normalize_gens(degree, generators)
-        if mode not in ("auto", "dense", "chain"):
-            raise ValueError(f"unknown mode {mode!r}")
-        return PermGroup.from_chain(degree, gens, StabilizerChain(degree, gens), mode, dense_bound)
-
-    @staticmethod
-    def from_chain(
-        degree: int,
-        gens: tuple[Permutation, ...],
-        chain: StabilizerChain,
-        mode: str,
-        dense_bound: int,
-    ) -> PermGroup:
-        """The group generated by gens, given a complete chain of it.
-
-        gens must already be normalized, and mode is one of from_generators'
-        modes, which it means the same as there.
-        """
-        order = chain.order()
-        if mode == "chain" or (mode == "auto" and order > dense_bound):
-            return PermGroup(degree=degree, mode="chain", gens=gens, chain=chain)
-        if order > dense_bound:
-            raise DenseBoundExceededError(order, dense_bound)
-        elements = frozenset(map(Permutation._raw, chain.elements()))
-        return PermGroup(degree=degree, mode="dense", gens=gens, elements=elements)
+        return PermGroup(degree=degree, bound=dense_bound, gens=gens)
 
     @staticmethod
     def trivial(degree: int) -> PermGroup:
         return PermGroup(
             degree=degree,
-            mode="dense",
+            bound=1,
             gens=(),
             elements=frozenset({Permutation.identity(degree)}),
         )
@@ -321,7 +299,7 @@ class PermGroup:
     @staticmethod
     def from_element_set(degree: int, elements: frozenset[Permutation]) -> PermGroup:
         """Wrap a set the caller guarantees to be closed under the operation."""
-        return PermGroup(degree=degree, mode="dense", elements=frozenset(elements))
+        return PermGroup(degree=degree, bound=len(elements), elements=frozenset(elements))
 
     # -- basic queries ------------------------------------------------------
 
@@ -331,22 +309,35 @@ class PermGroup:
             self._gens = _elements_to_generators(self.degree, self._elements)
         return self._gens
 
+    def _stab_chain(self) -> StabilizerChain:
+        if self._chain is None:
+            self._chain = StabilizerChain(self.degree, self.generators)
+        return self._chain
+
     @property
     def order(self) -> int:
         if self._order is None:
-            if self.mode == "dense":
+            if self._elements is not None:
                 self._order = len(self._elements)
             else:
-                self._order = self._chain.order()
+                self._order = self._stab_chain().order()
         return self._order
+
+    @property
+    def may_hold_table(self) -> bool:
+        """Whether an element table may be built: the order is at most bound."""
+        return self.order <= self.bound
 
     @property
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
     def elements(self) -> frozenset[Permutation]:
-        if self.mode != "dense":
-            raise NeedsDenseModeError("element enumeration needs dense mode")
+        """The element table, built on first use if the order is at most bound."""
+        if self._elements is None:
+            if not self.may_hold_table:
+                raise DenseBoundExceededError(self.order, self.bound)
+            self._elements = frozenset(map(Permutation._raw, self._stab_chain().elements()))
         return self._elements
 
     def sorted_elements(self) -> tuple[Permutation, ...]:
@@ -355,7 +346,7 @@ class PermGroup:
         return self._sorted
 
     def element_index(self) -> ElementIndex:
-        """The element index of a dense group, built on first use."""
+        """The element index, built on first use."""
         if self._index is None:
             self._index = ElementIndex(self.degree, self.sorted_elements(), self.generators)
         return self._index
@@ -363,9 +354,9 @@ class PermGroup:
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise DegreeMismatchError(f"degree {p.degree} element vs degree {self.degree} group")
-        if self.mode == "dense":
+        if self._elements is not None:
             return p in self._elements
-        return self._chain.contains(p)
+        return self._stab_chain().contains(p)
 
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -391,12 +382,12 @@ class PermGroup:
             return NotImplemented
         if self.degree != other.degree or self.order != other.order:
             return False
-        if self.mode == "dense" and other.mode == "dense":
+        if self._elements is not None and other._elements is not None:
             return self._elements == other._elements
         return self.is_subgroup_of(other) and other.is_subgroup_of(self)
 
     def __repr__(self) -> str:
-        return f"PermGroup(degree={self.degree}, order={self.order}, mode={self.mode})"
+        return f"PermGroup(degree={self.degree}, order={self.order}, bound={self.bound})"
 
 
 def _normalize_gens(degree: int, generators: Iterable[Permutation]) -> tuple[Permutation, ...]:
@@ -427,30 +418,30 @@ def _elements_to_generators(degree: int, elements: frozenset[Permutation]) -> tu
 
 
 def subgroup_generated(parent: PermGroup, elems: Iterable[Permutation]) -> PermGroup:
-    """Subgroup of parent generated by elems, in parent's mode."""
+    """Subgroup of parent generated by elems; it may hold a table when parent may."""
     gens = _normalize_gens(parent.degree, elems)
     for g in gens:
         if not parent.contains(g):
             raise MembershipError(f"{g!r} is not in the parent group")
-    # no subgroup outgrows its parent, whatever dense bound the parent was built under
-    return PermGroup.from_generators(
-        parent.degree, gens, mode=parent.mode, dense_bound=parent.order
-    )
+    bound = parent.order if parent.may_hold_table else 0
+    return PermGroup(degree=parent.degree, bound=bound, gens=gens)
 
 
 def normal_closure(parent: PermGroup, sub) -> PermGroup:
     """Smallest normal subgroup of parent containing sub.
 
     sub may be a PermGroup or an iterable of elements of parent. Generator
-    conjugates are chased transitively, so only generators are ever conjugated.
+    conjugates are chased transitively, so only generators are ever conjugated:
+    on parent's element index if parent may hold a table, else on a chain
+    grown in place, and then the closure may hold no table either.
     """
     seed = sub.generators if isinstance(sub, PermGroup) else tuple(sub)
     gens = _normalize_gens(parent.degree, seed)
     for g in gens:
         if not parent.contains(g):
             raise MembershipError("normal closure seed outside the parent group")
-    if parent.mode == "dense":
-        return _dense_closure(parent, gens, parent.generators)
+    if parent.may_hold_table:
+        return _index_closure(parent, gens, parent.generators)
     kept = []
     chain = StabilizerChain(parent.degree, ())
     pending = deque(gens)
@@ -461,10 +452,10 @@ def normal_closure(parent: PermGroup, sub) -> PermGroup:
         kept.append(s)
         chain.add(s)
         pending.extend(s ** g for g in parent.generators)
-    return PermGroup(degree=parent.degree, mode="chain", gens=tuple(kept), chain=chain)
+    return PermGroup(degree=parent.degree, bound=0, gens=tuple(kept), chain=chain)
 
 
-def _dense_closure(
+def _index_closure(
     parent: PermGroup, seeds: Sequence[Permutation], under: Sequence[Permutation]
 ) -> PermGroup:
     """The normal closure of the seeds in <under>, on parent's element index."""
@@ -485,14 +476,14 @@ def intersection(a: PermGroup, b: PermGroup) -> PermGroup:
 
 
 def product_order(a: PermGroup, b: PermGroup) -> int:
-    """|AB| for dense subgroups of a common group."""
+    """|AB| for subgroups of a common group, read off their element tables."""
     return a.order * b.order // intersection(a, b).order
 
 
 def commutator_subgroup(parent: PermGroup, a: PermGroup, b: PermGroup) -> PermGroup:
     """[A, B]: the normal closure in <A, B> of generator commutators.
 
-    Under a dense parent the closure runs on parent's element index,
+    Under a parent that may hold a table the closure runs on its element index,
     conjugating by the generators of <A, B>, so <A, B> is never built.
     """
     for sub in (a, b):
@@ -500,8 +491,8 @@ def commutator_subgroup(parent: PermGroup, a: PermGroup, b: PermGroup) -> PermGr
             raise MembershipError("commutator arguments must be subgroups of parent")
     envelope = _normalize_gens(parent.degree, a.generators + b.generators)
     seeds = [comm(x, y) for x in a.generators for y in b.generators]
-    if parent.mode == "dense":
-        return _dense_closure(parent, _normalize_gens(parent.degree, seeds), envelope)
+    if parent.may_hold_table:
+        return _index_closure(parent, _normalize_gens(parent.degree, seeds), envelope)
     return normal_closure(subgroup_generated(parent, envelope), seeds)
 
 
@@ -510,9 +501,7 @@ def derived_subgroup(g: PermGroup) -> PermGroup:
 
 
 def centralizer(parent: PermGroup, sub: PermGroup) -> PermGroup:
-    """C_parent(sub), by scanning elements; dense mode only."""
-    if parent.mode != "dense":
-        raise NeedsDenseModeError("centralizer scans the element table")
+    """C_parent(sub), by scanning parent's element table."""
     gens = sub.generators
     hits = frozenset(
         g for g in parent.elements() if all(g * s == s * g for s in gens)
@@ -530,8 +519,6 @@ def centralizer_of_section(parent: PermGroup, a: PermGroup, b: PermGroup) -> Per
     Testing generators of A suffices: in parent/B, an element centralizes the
     image of A exactly when it commutes with the images of A's generators.
     """
-    if parent.mode != "dense":
-        raise NeedsDenseModeError("section centralizer scans the element table")
     if not b.is_subgroup_of(a):
         raise MembershipError("B must be contained in A")
     for sub in (a, b):
@@ -590,8 +577,6 @@ def is_prime(n: int) -> bool:
 
 def conjugacy_classes(g: PermGroup) -> tuple[tuple[Permutation, frozenset[Permutation]], ...]:
     """Classes as (least member, element set), sorted by (size, least member)."""
-    if g.mode != "dense":
-        raise NeedsDenseModeError("conjugacy classes need the element table")
     if g._classes is not None:
         return g._classes
     index = g.element_index()
@@ -611,7 +596,7 @@ def direct_product(a: PermGroup, b: PermGroup) -> PermGroup:
         gens.append(Permutation(tuple(g.images) + tuple(range(da, da + db))))
     for g in b.generators:
         gens.append(Permutation(tuple(range(da)) + tuple(da + i for i in g.images)))
-    prod = PermGroup.from_generators(da + db, gens, mode="auto")
+    prod = PermGroup.from_generators(da + db, gens)
     if prod.order != a.order * b.order:
         raise KernelBugError("direct product order mismatch")
     return prod
@@ -635,7 +620,7 @@ def wreath_product(base: PermGroup, top: PermGroup) -> PermGroup:
     for s in top.generators:
         gens.append(Permutation([s.images[t] * db + o for t in range(dt) for o in range(db)]))
     projected = base.order ** dt * top.order
-    w = PermGroup.from_generators(degree, gens, mode="auto")
+    w = PermGroup.from_generators(degree, gens)
     if w.order != projected:
         raise KernelBugError("wreath product order mismatch")
     return w

@@ -18,9 +18,10 @@ source points, is the kernel's chain. The kernel order is checked against
 |image| * |kernel| = |source|.
 
 Kernels and preimages reach report witnesses through their generator lists.
-Under a dense source they are dense groups named by the greedy generators of
-their element sets (PermGroup.from_element_set), so the bytes do not depend on
-the chain; under a chain source they keep the chain's generators.
+Under a source that may hold an element table they are named by the greedy
+generators of their element sets (PermGroup.from_element_set), so the bytes do
+not depend on the chain; under any other source they keep the chain's
+generators.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     KernelBugError,
     MembershipError,
 )
-from .group import DEFAULT_DENSE_BOUND, PermGroup, subgroup_generated
+from .group import PermGroup, subgroup_generated
 from .perm import Permutation
 
 
@@ -142,21 +143,25 @@ class GroupHom:
         ds, dt = self.source.degree, self.target.degree
         return [Permutation._raw(t[:ds]) for t in self._target_first().gens_fixing_prefix(dt)]
 
-    def kernel(self, dense_bound: int = DEFAULT_DENSE_BOUND) -> PermGroup:
-        ds, dt = self.source.degree, self.target.degree
+    def kernel(self) -> PermGroup:
+        """The kernel, under the source's bound."""
+        src = self.source
+        ds, dt = src.degree, self.target.degree
         chain = self._target_first().cut(dt, ds)
-        if self.source.mode == "dense":
+        if src.may_hold_table:
             elements = frozenset(map(Permutation._raw, chain.elements()))
             ker = PermGroup.from_element_set(ds, elements)
         else:
-            ker = PermGroup.from_chain(ds, tuple(self._kernel_gens()), chain, "auto", dense_bound)
-        if ker.order * self.image().order != self.source.order:
+            gens = tuple(self._kernel_gens())
+            ker = PermGroup(degree=ds, bound=src.bound, gens=gens, chain=chain)
+        if ker.order * self.image().order != src.order:
             raise KernelBugError("kernel order inconsistent with image order")
         return ker
 
     def preimage(self, sub: PermGroup) -> PermGroup:
-        """Full preimage of sub, which must lie inside the image: dense by its
-        element set under a dense source, else in chain mode."""
+        """Full preimage of sub, which must lie inside the image: by its element
+        set under a source that may hold a table, else by generators alone,
+        and then it may hold no table."""
         ds, dt = self.source.degree, self.target.degree
         if sub.degree != dt:
             raise DegreeMismatchError("preimage argument has the wrong degree")
@@ -165,7 +170,7 @@ class GroupHom:
         for k in sub.generators:
             lifted = chain.lift_points({ds + j: ds + k.images[j] for j in range(dt)}, dt)
             gens.append(Permutation._raw(lifted[:ds]))
-        if self.source.mode == "dense":
+        if self.source.may_hold_table:
             pre = subgroup_generated(self.source, gens)
             return PermGroup.from_element_set(ds, pre.elements())
-        return PermGroup.from_generators(ds, gens, mode="chain")
+        return PermGroup.from_generators(ds, gens, dense_bound=0)

@@ -1,6 +1,7 @@
 """Normal subgroup lattices, chief series, critical pairs, central decompositions.
 
-Inputs must be dense-mode groups (composition factors of p-groups excepted).
+Inputs must be groups whose order is at most their table bound (composition
+factors of p-groups excepted); past it, DenseBoundExceededError is raised.
 One engine, invariant_subgroups, lists the subgroups normalized by given
 elements: the normal lattice is its case of the group's own generators, and
 the certifier's sweeps are its case of a normal subgroup's generators (the
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .errors import KernelBugError, NeedsDenseModeError, NotNormalError
+from .errors import KernelBugError, NotNormalError
 from .group import (
     PermGroup,
     center,
@@ -57,9 +58,6 @@ def invariant_subgroups(
     followed by the kept seeds. The search runs on g's element index, and the
     lattice is kept there under n's position set and under's positions.
     """
-    if g.mode != "dense":
-        # the seeds come from the classes of g's elements under <under>
-        raise NeedsDenseModeError("conjugacy classes need the element table")
     index = g.element_index()
     pos = index.pos
     movers = tuple(pos[t] for t in under)
@@ -264,7 +262,7 @@ def composition_factors(g: PermGroup) -> dict[str, int]:
     Computed by refining a chief series: a chief factor isomorphic to S^k
     contributes k composition factors S. The multiset does not depend on the
     chosen series. A group of order p^k is one section (Cp)^k for this count,
-    so it builds no lattice and may be in chain mode.
+    so it builds no lattice and needs no element table.
     """
     if prime_power_base(g.order):
         tid, k = section_type(g, PermGroup.trivial(g.degree))

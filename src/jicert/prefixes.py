@@ -44,19 +44,18 @@ class StageRecord(NamedTuple):
 class SystemPrefix:
     """Validated prefix: groups, connecting maps, marks, and kernels on first use.
 
-    a_marks and b0 are None where the file carried no mark.  dense_bound is
-    the one the groups were built with.  Immutable; equal and hashed by
-    records alone.
+    a_marks and b0 are None where the file carried no mark.  Immutable;
+    equal and hashed by records alone.
     """
 
-    __slots__ = ("records", "groups", "homs", "a_marks", "b0", "dense_bound", "_kernels")
+    __slots__ = ("records", "groups", "homs", "a_marks", "b0", "_kernels")
 
     def __init__(
         self, records: tuple[StageRecord, ...], groups: tuple[PermGroup, ...],
         homs: tuple[GroupHom, ...], a_marks: tuple[Optional[PermGroup], ...],
-        b0: Optional[PermGroup], dense_bound: int = DEFAULT_DENSE_BOUND,
+        b0: Optional[PermGroup],
     ):
-        values = (records, groups, homs, a_marks, b0, dense_bound, {})
+        values = (records, groups, homs, a_marks, b0, {})
         for field, value in zip(self.__slots__, values):
             object.__setattr__(self, field, value)
 
@@ -87,7 +86,7 @@ class SystemPrefix:
             return None
         ker = self._kernels.get(n)
         if ker is None:
-            ker = self._kernels[n] = self.homs[n - 1].kernel(self.dense_bound)
+            ker = self._kernels[n] = self.homs[n - 1].kernel()
         return ker
 
     def with_marks(
@@ -98,7 +97,7 @@ class SystemPrefix:
         """Copy of this prefix with the given marks installed.
 
         Stages absent from a_marks keep their current mark.  The copy shares
-        this prefix's groups, maps, dense bound and computed kernels;
+        this prefix's groups, maps and computed kernels;
         only the new marks are validated, so a non-normal one is rejected.
         """
         records, marks, new_b0 = list(self.records), list(self.a_marks), self.b0
@@ -111,9 +110,7 @@ class SystemPrefix:
             gens = tuple(b0.generators)
             records[0] = records[0]._replace(b0_generators=gens)
             new_b0 = _mark_subgroup(self.groups[0], gens, "stage 0.b0")
-        out = SystemPrefix(
-            tuple(records), self.groups, self.homs, tuple(marks), new_b0, self.dense_bound
-        )
+        out = SystemPrefix(tuple(records), self.groups, self.homs, tuple(marks), new_b0)
         out._kernels.update(self._kernels)
         return out
 
@@ -211,7 +208,6 @@ def _mark_subgroup(
 def _assemble(
     records: tuple[StageRecord, ...],
     *,
-    mode: str = "auto",
     dense_bound: int = DEFAULT_DENSE_BOUND,
 ) -> SystemPrefix:
     """Build groups, maps and marks from records, or reject.
@@ -219,11 +215,7 @@ def _assemble(
     Stage 0 is built from its generators. Every later stage is read off the
     graph chain of its connecting map, so each map costs one Schreier-Sims.
     """
-    groups = [
-        PermGroup.from_generators(
-            records[0].degree, records[0].generators, mode=mode, dense_bound=dense_bound
-        )
-    ]
+    groups = [PermGroup.from_generators(records[0].degree, records[0].generators, dense_bound)]
     homs = []
     for i in range(1, len(records)):
         rec = records[i]
@@ -250,9 +242,8 @@ def _assemble(
                 f"{where}: images do not define a homomorphism onto the previous "
                 f"stage: {exc}"
             ) from None
-        groups.append(
-            PermGroup.from_chain(rec.degree, gens, graph.cut(0, rec.degree), mode, dense_bound)
-        )
+        chain = graph.cut(0, rec.degree)
+        groups.append(PermGroup(degree=rec.degree, bound=dense_bound, gens=gens, chain=chain))
         hom = GroupHom(groups[i], groups[i - 1], aligned, graph)
         if not hom.is_surjective():
             raise InputFormatError(f"{where}: connecting map is not surjective")
@@ -268,7 +259,7 @@ def _assemble(
     if records[0].b0_generators is not None:
         b0 = _mark_subgroup(groups[0], records[0].b0_generators, "stage 0.b0")
 
-    return SystemPrefix(records, tuple(groups), tuple(homs), tuple(a_marks), b0, dense_bound)
+    return SystemPrefix(records, tuple(groups), tuple(homs), tuple(a_marks), b0)
 
 
 def parse_system(
@@ -313,17 +304,13 @@ def serialize_system(prefix: SystemPrefix) -> str:
 def build_wreath_tower(
     base_specs: Sequence[tuple[str, int]],
     depth: int,
-    *,
-    chain_mode: bool = False,
-    dense_bound: int = DEFAULT_DENSE_BOUND,
 ) -> SystemPrefix:
     """Iterated wreath tower prefix: stage n is base_n wr (stage n-1).
 
     base_specs are (name, degree) pairs, cycled when depth exceeds their
     count; stage 0 is the first base group itself.  Each connecting map
     collapses the newest base layer: block copies of the base map to the
-    identity and the lifted previous stage maps to itself.  Without
-    chain_mode the stage groups must fit under dense_bound.
+    identity and the lifted previous stage maps to itself.
     """
     if depth < 1:
         raise InputFormatError("tower depth must be at least 1")
@@ -374,11 +361,7 @@ def build_wreath_tower(
         expected_orders.append(base.order ** dprev * expected_orders[n - 1])
         prev_gens = tuple(gens)
 
-    prefix = _assemble(
-        tuple(records),
-        mode="auto" if chain_mode else "dense",
-        dense_bound=dense_bound,
-    )
+    prefix = _assemble(tuple(records))
     for n, grp in enumerate(prefix.groups):
         if grp.order != expected_orders[n]:
             raise KernelBugError(

@@ -15,7 +15,7 @@ The regular action stores |G/N|^2 points, so these are for small tests only.
 import math
 from collections import deque
 
-from jicert.errors import KernelBugError, NeedsDenseModeError, NotNormalError
+from jicert.errors import DenseBoundExceededError, KernelBugError, NotNormalError
 from jicert.group import (
     DEFAULT_DENSE_BOUND,
     PermGroup,
@@ -46,13 +46,13 @@ def quotient(g: PermGroup, n: PermGroup) -> tuple[PermGroup, GroupHom]:
     representative x * gen, is then read off that tree with one product,
     lam(x * gen) = lam(x) * lam(gen), so the regular action is never closed.
     """
-    if g.mode != "dense":
-        raise NeedsDenseModeError("quotients enumerate cosets of the element table")
+    if not g.may_hold_table:
+        raise DenseBoundExceededError(g.order, g.bound)
     if not n.is_normal_in(g):
         raise NotNormalError("quotient modulus must be normal")
     index = g.order // n.order
     if index > DEFAULT_DENSE_BOUND:
-        raise NeedsDenseModeError(f"quotient index {index} exceeds dense bound")
+        raise DenseBoundExceededError(index, DEFAULT_DENSE_BOUND)
     n_elems = n.elements()
     elem_to_coset: dict[Permutation, int] = {}
     coset_mins: list[Permutation] = []
@@ -88,7 +88,7 @@ def quotient(g: PermGroup, n: PermGroup) -> tuple[PermGroup, GroupHom]:
     for c in range(1, len(up)):
         lam.append(lam[up[c]] * gen_images[via[c]])
     q = PermGroup(
-        degree=index, mode="dense", gens=_normalize_gens(index, gen_images), elements=frozenset(lam)
+        degree=index, bound=index, gens=_normalize_gens(index, gen_images), elements=frozenset(lam)
     )
     if q.order != index:
         raise KernelBugError("regular coset action has the wrong order")

@@ -5,6 +5,7 @@ import pytest
 
 from jicert import (
     CertifyOptions,
+    DenseBoundExceededError,
     DerivationError,
     KernelBugError,
     NotNormalError,
@@ -666,8 +667,9 @@ def test_each_qualifying_subgroup_is_closed_once(monkeypatch):
 
 def test_sweeps_on_a_chain_stage_are_bounded():
     # stage 1 has order 60^6 and no element table, so the sweeps cannot run there
-    prefix = derive_critical_marks(build_wreath_tower([("A5", 5)], 2, chain_mode=True))
-    assert prefix.groups[1].mode == "chain"
+    prefix = derive_critical_marks(build_wreath_tower([("A5", 5)], 2))
+    with pytest.raises(DenseBoundExceededError):
+        prefix.groups[1].elements()
     options = CertifyOptions(wilson=True, commuting_conjugates=True, subgroup_bound=10**12)
     stage0, stage1 = certify_system(prefix, options).stages
     for name in (CHECK_WILSON_I, CHECK_WILSON_II, CHECK_COMMUTING_CONJUGATES):
@@ -681,11 +683,14 @@ def test_sweeps_on_a_chain_stage_are_bounded():
 def test_pair_checks_on_a_chain_stage_are_bounded():
     # stage 1 has order 60^6 and no element table, so the normal lattice and
     # the centralizer of the pair checks cannot be computed there
-    prefix = build_wreath_tower([("A5", 5), ("A5", 5), ("C2", 2)], 3, chain_mode=True)
+    prefix = build_wreath_tower([("A5", 5), ("A5", 5), ("C2", 2)], 3)
     marked = prefix.with_marks(
         dict(enumerate(prefix.groups)), b0=PermGroup.trivial(prefix.groups[0].degree)
     )
-    assert [g.mode for g in marked.groups] == ["dense", "chain", "chain"]
+    assert len(marked.groups[0].elements()) == 60
+    for g in marked.groups[1:]:
+        with pytest.raises(DenseBoundExceededError):
+            g.elements()
     verdict = certify_system(marked)
     stage0, stage1, stage2 = verdict.stages
     assert stage0.checks[CHECK_CRITICAL_PAIR].status == PASS

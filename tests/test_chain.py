@@ -180,7 +180,7 @@ _SOURCES = {
     "small corpus": None,
     "s4_s3_prefix": lambda: parse_system((DATA / "s4_s3_prefix.json").read_text()),
     "cyclic2_tower": lambda: parse_system((DATA / "cyclic2_tower.json").read_text()),
-    "A5:5 depth 2 chain": lambda: build_wreath_tower([("A5", 5)], 2, chain_mode=True),
+    "A5:5 depth 2 chain": lambda: build_wreath_tower([("A5", 5)], 2),
 }
 
 
@@ -204,7 +204,7 @@ def test_strong_generating_sets_match_every_level_placement(source, small_corpus
 
 def test_a5_tower_graph_chain_keeps_fewer_strong_generators(monkeypatch):
     def graph():
-        return build_wreath_tower([("A5", 5)], 2, chain_mode=True).homs[0]._graph
+        return build_wreath_tower([("A5", 5)], 2).homs[0]._graph
 
     with monkeypatch.context() as m:
         m.setattr(StabilizerChain, "_drain", _drain_to_every_level)

@@ -1,6 +1,6 @@
-"""Dense groups enumerated from their stabilizer chains, greedy generators
+"""Element tables enumerated from stabilizer chains, greedy generators
 tested on a growing chain, quotients read off the coset tree and the
-chain-mode normal closure grown in place, against the permutation-closure and
+normal closure under a table-free parent grown in place, against the permutation-closure and
 rebuild versions they replaced."""
 
 import random
@@ -12,12 +12,16 @@ from jicert import (
     DenseBoundExceededError,
     PermGroup,
     alternating,
+    build_wreath_tower,
+    certify_system,
+    serialize_system,
     normal_subgroups,
     subgroup_generated,
     symmetric,
     wreath_product,
 )
 from jicert.chain import StabilizerChain
+from jicert.cli import main
 from jicert.group import _normalize_gens, normal_closure
 from jicert.perm import Permutation
 from quotient_ref import quotient
@@ -60,7 +64,7 @@ def reference_generators(degree, elements):
 
 
 def reference_chain_normal_closure(parent, seeds):
-    """The chain-mode normal closure as it ran before: a new chain for every
+    """The table-free normal closure as it ran before: a new chain for every
     kept generator. Returns the kept generators and the order."""
     kept = []
     chain = StabilizerChain(parent.degree, ())
@@ -133,31 +137,49 @@ def test_chain_add_grows_the_chain_built_at_once(small_corpus):
 
 def test_chain_normal_closure_matches_rebuild(small_corpus):
     for name, g in small_corpus.items():
-        chain_g = PermGroup.from_generators(g.degree, g.generators, mode="chain")
+        chain_g = PermGroup.from_generators(g.degree, g.generators, dense_bound=0)
         for x in sample(g):
             n = normal_closure(chain_g, [x])
-            assert n.mode == "chain", name
+            with pytest.raises(DenseBoundExceededError):
+                n.elements()
             assert (n.generators, n.order) == reference_chain_normal_closure(chain_g, [x]), name
             assert n.order == normal_closure(g, [x]).order, name
 
 
 def test_dense_bound_is_checked_on_the_order():
     s4 = symmetric(4)
-    assert PermGroup.from_generators(4, s4.generators, dense_bound=24).order == 24
+    assert len(PermGroup.from_generators(4, s4.generators, dense_bound=24).elements()) == 24
     with pytest.raises(DenseBoundExceededError) as exc:
-        PermGroup.from_generators(4, s4.generators, dense_bound=23)
+        PermGroup.from_generators(4, s4.generators, dense_bound=23).elements()
     assert str(exc.value) == "group order 24 exceeds dense bound 23"
 
 
 def test_dense_bound_refused_before_enumeration(monkeypatch):
     a5 = alternating(5)
     w = wreath_product(a5, a5)
-    assert w.mode == "chain"
 
     def no_enumeration(self):
         raise AssertionError("elements enumerated past the dense bound")
 
     monkeypatch.setattr(StabilizerChain, "elements", no_enumeration)
     with pytest.raises(DenseBoundExceededError) as exc:
-        PermGroup.from_generators(w.degree, w.generators, mode="dense")
+        PermGroup.from_generators(w.degree, w.generators).elements()
     assert str(exc.value) == "group order 46656000000 exceeds dense bound 2000000"
+
+
+def test_build_and_plain_check_list_no_elements(monkeypatch, tmp_path, capsys):
+    """A group is its chain until something reads its elements: building a
+    tower and a plain check of it enumerate no element table, even where the
+    stages fit under the dense bound."""
+
+    def no_enumeration(self):
+        raise AssertionError("an element table was built")
+
+    monkeypatch.setattr(StabilizerChain, "elements", no_enumeration)
+    prefix = build_wreath_tower([("C3", 3)], 3)
+    assert [g.order for g in prefix.groups] == [3, 3**4, 3**13]
+    assert len(certify_system(prefix).stages) == 3
+    path = tmp_path / "c2_tower.json"
+    path.write_text(serialize_system(build_wreath_tower([("C2", 2)], 4)))
+    assert main(["check", str(path)]) == 0
+    capsys.readouterr()

@@ -31,7 +31,7 @@ from jicert.chain import StabilizerChain
 from jicert.cli import main
 from jicert.group import _normalize_gens
 from quotient_ref import quotient
-from test_hom import _chain_twin, sign_map
+from test_hom import _chain_twin, lists_elements, sign_map
 
 DATA = Path(__file__).parent / "data"
 
@@ -60,17 +60,17 @@ def reference_value(chain, ds, x):
     return Permutation(tuple(p - ds for p in lifted[ds:]))
 
 
-def reference_kernel(phi, dense_bound=2_000_000):
+def reference_kernel(phi):
     """The kernel as parsing computed it before: the target-first chain's
-    kernel generators closed on a chain of their own."""
+    kernel generators closed on a chain of their own, under the source's bound."""
     ds, dt = phi.source.degree, phi.target.degree
     gens = graph_gens(phi.source, phi.generator_images)
     tgt = StabilizerChain(ds + dt, gens, base_prefix=range(ds, ds + dt))
     kernel_gens = [Permutation(t[:ds]) for t in tgt.gens_fixing_prefix(dt)]
-    if phi.source.mode == "dense":
+    if lists_elements(phi.source):
         sub = subgroup_generated(phi.source, kernel_gens)
         return PermGroup.from_element_set(ds, sub.elements())
-    return PermGroup.from_generators(ds, kernel_gens, mode="auto", dense_bound=dense_bound)
+    return PermGroup.from_generators(ds, kernel_gens, dense_bound=phi.source.bound)
 
 
 def levels(chain):
@@ -92,17 +92,18 @@ def assert_map_matches_reference(phi, name=""):
     cut = phi._graph.cut(0, ds)
     assert levels(cut) == levels(StabilizerChain(ds, source.generators)), name
     assert cut.order() == source.order, name
-    xs = source.sorted_elements()[:: max(1, source.order // 24)] if source.mode == "dense" \
+    tabled = lists_elements(source)
+    xs = source.sorted_elements()[:: max(1, source.order // 24)] if tabled \
         else list(source.generators)
     for x in xs:
         assert phi(x) == reference_value(ref, ds, x), name
     ker, want = phi.kernel(), reference_kernel(phi)
-    if source.mode == "dense":
-        assert ker.mode == "dense", name
+    if tabled:
+        assert lists_elements(ker), name
         assert ker.elements() == want.elements(), name
         assert ker.generators == want.generators, name
     else:
-        assert (ker.mode, ker.order) == (want.mode, want.order), name
+        assert (lists_elements(ker), ker.order) == (lists_elements(want), want.order), name
         assert ker.generators == want.generators, name
         assert all(ker.contains(k) for k in want.generators), name
         assert all(want.contains(k) for k in ker.generators), name
@@ -145,7 +146,7 @@ TOWERS = {
     "cyclic2_tower": lambda: parse_system((DATA / "cyclic2_tower.json").read_text()),
     "S3:3": lambda: build_wreath_tower([("S3", 3)], 2),
     "C2:2": lambda: build_wreath_tower([("C2", 2)], 4),
-    "A5:5 chain": lambda: build_wreath_tower([("A5", 5)], 2, chain_mode=True),
+    "A5:5 chain": lambda: build_wreath_tower([("A5", 5)], 2),
 }
 
 
@@ -164,10 +165,9 @@ def test_stage_chains_are_cut_from_the_graph_chain(name):
         assert levels(phi._graph.cut(0, rec.degree)) == levels(want), (name, n)
         assert grp.generators == gens, (name, n)
         assert grp.order == want.order(), (name, n)
-        if grp.mode == "chain":
-            assert levels(grp._chain) == levels(want), (name, n)
-        else:
-            rebuilt = PermGroup.from_generators(rec.degree, gens, mode="dense")
+        assert levels(grp._chain) == levels(want), (name, n)
+        if lists_elements(grp):
+            rebuilt = PermGroup.from_generators(rec.degree, gens)
             assert grp.elements() == rebuilt.elements(), (name, n)
 
 
@@ -176,12 +176,12 @@ def test_tower_maps_and_kernels_match_reference(name):
     prefix = TOWERS[name]()
     for n, phi in enumerate(prefix.homs, start=1):
         assert_map_matches_reference(phi, (name, n))
-        ker, want = prefix.kernel(n), reference_kernel(phi, prefix.dense_bound)
+        ker, want = prefix.kernel(n), reference_kernel(phi)
         assert ker is prefix.kernel(n)
-        if phi.source.mode == "dense":
+        if lists_elements(phi.source):
             assert (ker.elements(), ker.generators) == (want.elements(), want.generators)
         else:
-            assert (ker.order, ker.mode) == (want.order, want.mode)
+            assert (ker.order, lists_elements(ker)) == (want.order, lists_elements(want))
             assert all(ker.contains(k) for k in want.generators)
             assert all(want.contains(k) for k in ker.generators)
 
@@ -253,7 +253,7 @@ def test_drawn_maps_match_reference(data):
     # some draws are the sign map, most random images, which are mostly invalid
     source = data.draw(st.sampled_from(_SOURCES))
     if data.draw(st.booleans()):
-        source = PermGroup.from_generators(source.degree, source.generators, mode="chain")
+        source = PermGroup.from_generators(source.degree, source.generators, dense_bound=0)
     if data.draw(st.integers(0, 3)) == 0:
         phi = sign_map(source)
         target, images = phi.target, phi.generator_images
@@ -279,7 +279,7 @@ def _count_calls(monkeypatch, cls, attr):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: build_wreath_tower([("A5", 5)], 2, chain_mode=True),
+        lambda: build_wreath_tower([("A5", 5)], 2),
         lambda: build_wreath_tower([("C2", 2)], 3),
     ],
     ids=["A5:5 chain", "C2:2 depth 3"],

@@ -5,7 +5,6 @@ from jicert import (
     DegreeMismatchError,
     DenseBoundExceededError,
     MembershipError,
-    NeedsDenseModeError,
     PermGroup,
     Permutation,
     alternating,
@@ -36,7 +35,6 @@ def elem_tuples(g):
 def test_from_generators_dense():
     g = PermGroup.from_generators(4, [Permutation([1, 2, 3, 0])])
     assert g.order == 4
-    assert g.mode == "dense"
     assert elem_tuples(g) == oracles.closure_gens(4, [(1, 2, 3, 0)])
 
 
@@ -50,32 +48,28 @@ def test_from_generators_normalizes():
 def test_dense_bound_trips():
     gens = [Permutation([1, 2, 3, 4, 0]), Permutation([1, 0, 2, 3, 4])]
     with pytest.raises(DenseBoundExceededError):
-        PermGroup.from_generators(5, gens, dense_bound=50)
+        PermGroup.from_generators(5, gens, dense_bound=50).elements()
 
 
 def test_auto_mode_picks_chain_above_bound():
     gens = [Permutation([1, 2, 3, 4, 0]), Permutation([1, 0, 2, 3, 4])]
-    g = PermGroup.from_generators(5, gens, mode="auto", dense_bound=50)
-    assert g.mode == "chain"
+    g = PermGroup.from_generators(5, gens, dense_bound=50)
+    with pytest.raises(DenseBoundExceededError):
+        g.elements()
     assert g.order == 120
-    small = PermGroup.from_generators(5, gens[:1], mode="auto", dense_bound=50)
-    assert small.mode == "dense"
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        PermGroup.from_generators(3, [], mode="sparse")
+    small = PermGroup.from_generators(5, gens[:1], dense_bound=50)
+    assert len(small.elements()) == 5
 
 
 def test_chain_mode_membership():
     g = symmetric(5)
-    h = PermGroup.from_generators(5, g.generators, mode="chain")
+    h = PermGroup.from_generators(5, g.generators, dense_bound=0)
     assert h.order == 120
     assert h.contains(Permutation([4, 3, 2, 1, 0]))
     with pytest.raises(DegreeMismatchError):
         h.contains(Permutation([0, 1, 2]))
-    # chain groups refuse dense-only queries rather than silently enumerate
-    with pytest.raises(NeedsDenseModeError):
+    # a group past its bound refuses to list its elements rather than enumerate
+    with pytest.raises(DenseBoundExceededError):
         h.elements()
     assert h.is_abelian() is False
 
@@ -123,9 +117,10 @@ def test_normal_closure():
 
 
 def test_normal_closure_chain_mode():
-    g = PermGroup.from_generators(5, symmetric(5).generators, mode="chain")
+    g = PermGroup.from_generators(5, symmetric(5).generators, dense_bound=0)
     n = normal_closure(g, [Permutation([1, 2, 0, 3, 4])])
-    assert n.mode == "chain"
+    with pytest.raises(DenseBoundExceededError):
+        n.elements()
     assert n.order == 60
 
 
@@ -230,5 +225,6 @@ def test_wreath_product_small():
 
 def test_wreath_product_auto_chain():
     g = wreath_product(alternating(5), alternating(5))
-    assert g.mode == "chain"
+    with pytest.raises(DenseBoundExceededError):
+        g.elements()
     assert g.order == 60**5 * 60

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from jicert import (
     DegreeMismatchError,
+    DenseBoundExceededError,
     GroupHom,
     HomomorphismError,
     MembershipError,
@@ -26,6 +27,15 @@ from jicert.lattice import minimal_normal_subgroups
 from quotient_ref import quotient
 
 DATA = Path(__file__).parent / "data"
+
+
+def lists_elements(g):
+    """Whether g lists its element table, rather than refusing past its bound."""
+    try:
+        g.elements()
+    except DenseBoundExceededError:
+        return False
+    return True
 
 
 def sign_map(g):
@@ -74,8 +84,8 @@ def test_images_must_lie_in_target():
 
 
 def test_evaluation_outside_source():
-    # a longer or shorter argument, on a dense and on a chain-mode source
-    s3_chain = PermGroup.from_generators(3, symmetric(3).generators, mode="chain")
+    # a longer or shorter argument, on a source with a table and on one without
+    s3_chain = PermGroup.from_generators(3, symmetric(3).generators, dense_bound=0)
     for phi in (sign_hom(3), sign_map(s3_chain)):
         for arg in (Permutation([1, 0, 2, 3]), Permutation([1, 0])):
             with pytest.raises(MembershipError):
@@ -122,7 +132,7 @@ def test_compose():
 
 
 def test_chain_source_hom_and_kernel():
-    s5 = PermGroup.from_generators(5, symmetric(5).generators, mode="chain")
+    s5 = PermGroup.from_generators(5, symmetric(5).generators, dense_bound=0)
     c2 = cyclic(2)
     flip = Permutation([1, 0])
     images = [
@@ -140,7 +150,7 @@ def test_chain_source_rejects_non_hom():
     a5 = PermGroup.from_generators(
         5,
         [Permutation([1, 2, 3, 4, 0]), Permutation([1, 2, 0, 3, 4])],
-        mode="chain",
+        dense_bound=0,
     )
     c2 = cyclic(2)
     # A5 is simple: no surjection onto C2
@@ -149,7 +159,7 @@ def test_chain_source_rejects_non_hom():
 
 
 def test_chain_preimage():
-    s5 = PermGroup.from_generators(5, symmetric(5).generators, mode="chain")
+    s5 = PermGroup.from_generators(5, symmetric(5).generators, dense_bound=0)
     c2 = cyclic(2)
     flip = Permutation([1, 0])
     images = [
@@ -159,7 +169,7 @@ def test_chain_preimage():
     phi = GroupHom(s5, c2, images)
     pre = phi.preimage(PermGroup.trivial(2))
     assert pre.order == 60
-    assert pre.mode == "chain"
+    assert not lists_elements(pre)
 
 
 def test_quotient_regular_action():
@@ -197,7 +207,7 @@ def test_quotient_composition_factor_names(small_corpus):
 
 def test_kernel_bug_guard_runs_clean():
     # the |ker| * |im| = |G| self-check on a chain hom must pass for a real hom
-    s6 = PermGroup.from_generators(6, symmetric(6).generators, mode="chain")
+    s6 = PermGroup.from_generators(6, symmetric(6).generators, dense_bound=0)
     assert sign_map(s6).kernel().order == 360
 
 
@@ -244,16 +254,16 @@ def cyclic_subgroups(g):
 def assert_matches_reference(phi, table, subs):
     """Values, kernel and the preimages of subs agree with the table.
 
-    A dense source must also give the table's generators, which reports print;
-    a chain source is compared as a group.
+    A source that lists its elements must also give the table's generators,
+    which reports print; any other source is compared as a group.
     """
     assert {x: phi(x) for x in table} == table
     degree, trivial = phi.source.degree, PermGroup.trivial(phi.target.degree)
     pairs = [(phi.kernel(), reference_preimage(degree, table, trivial))]
     pairs += [(phi.preimage(s), reference_preimage(degree, table, s)) for s in subs]
     for got, want in pairs:
-        if phi.source.mode == "dense":
-            assert got.mode == "dense"
+        if lists_elements(phi.source):
+            assert lists_elements(got)
             assert got.elements() == want.elements()
             assert got.generators == want.generators
         else:
@@ -261,15 +271,15 @@ def assert_matches_reference(phi, table, subs):
 
 
 def _chain_twin(phi):
-    """The same map, built on a chain-mode copy of the source."""
+    """The same map, built on a copy of the source that lists no elements."""
     g = phi.source
-    src = PermGroup.from_generators(g.degree, g.generators, mode="chain")
+    src = PermGroup.from_generators(g.degree, g.generators, dense_bound=0)
     return GroupHom(src, phi.target, [phi(x) for x in src.generators])
 
 
 def test_chain_maps_match_dense_tables(small_corpus):
     # the graph-group evaluator agrees with the BFS table on every element,
-    # kernel and preimage, on dense sources and their chain-mode twins
+    # kernel and preimage, on sources with tables and their chain twins
     for name, g in small_corpus.items():
         maps = [sign_map(g)]
         if not g.is_trivial():
@@ -303,7 +313,7 @@ def test_tower_maps_match_dense_tables(build):
     # mark derivation takes, against the table
     prefix = build()
     for n, phi in enumerate(prefix.homs, start=1):
-        assert phi.source.mode == "dense"
+        assert lists_elements(phi.source)
         table = reference_table(phi.source, phi.target, phi.generator_images)
         subs = cyclic_subgroups(phi.target) + list(minimal_normal_subgroups(phi.target))
         assert_matches_reference(phi, table, subs)
@@ -314,7 +324,7 @@ def test_tower_maps_match_dense_tables(build):
 
 _SOURCES = [symmetric(n) for n in (3, 4, 5)]
 _CHAIN_SOURCES = [
-    PermGroup.from_generators(g.degree, g.generators, mode="chain") for g in _SOURCES
+    PermGroup.from_generators(g.degree, g.generators, dense_bound=0) for g in _SOURCES
 ]
 _TARGETS = [cyclic(2), symmetric(3)]
 
@@ -322,7 +332,7 @@ _TARGETS = [cyclic(2), symmetric(3)]
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_chain_and_dense_validation_agree(data):
-    # both source modes accept exactly the images the table accepts
+    # sources with and without tables accept exactly the images the table accepts
     i = data.draw(st.integers(0, len(_SOURCES) - 1))
     target = data.draw(st.sampled_from(_TARGETS))
     images = [

@@ -10,7 +10,15 @@ import pytest
 
 import oracles
 from full_sweep import all_subgroups, cover_double_coset
-from jicert import PermGroup, Permutation, alternating, build_wreath_tower, parse_system
+from jicert import (
+    DenseBoundExceededError,
+    PermGroup,
+    Permutation,
+    alternating,
+    build_wreath_tower,
+    parse_system,
+    serialize_system,
+)
 from jicert.certifier import CertifyOptions, certify_system
 from jicert.classdata import SchurTable, class_from_names
 from jicert.group import ElementIndex
@@ -139,6 +147,9 @@ def test_composition_factors_of_p_groups_match_chief_factors(small_corpus):
 def test_composition_factors_of_chain_mode_p_groups():
     """A p-group's factors come from its order alone, so a stage past the
     dense bound gets them too (conjugacy classes would need its elements)."""
-    prefix = build_wreath_tower([("C2", 2)], 3, chain_mode=True, dense_bound=4)
-    assert [g.mode for g in prefix.groups] == ["dense", "chain", "chain"]
+    prefix = parse_system(serialize_system(build_wreath_tower([("C2", 2)], 3)), dense_bound=4)
+    assert len(prefix.groups[0].elements()) == 2
+    for g in prefix.groups[1:]:
+        with pytest.raises(DenseBoundExceededError):
+            g.elements()
     assert [composition_factors(g) for g in prefix.groups] == [{"C2": 1}, {"C2": 3}, {"C2": 7}]

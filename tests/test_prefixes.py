@@ -3,6 +3,7 @@ import json
 import pytest
 
 from jicert import (
+    DenseBoundExceededError,
     InputFormatError,
     Permutation,
     UnknownGroupError,
@@ -215,11 +216,14 @@ def test_with_marks():
 
 
 def test_with_marks_keeps_mode_and_dense_bound():
-    prefix = build_wreath_tower([("C2", 2)], 3, chain_mode=True, dense_bound=4)
-    assert [g.mode for g in prefix.groups] == ["dense", "chain", "chain"]
+    prefix = parse_system(serialize_system(build_wreath_tower([("C2", 2)], 3)), dense_bound=4)
     marked = prefix.with_marks({0: prefix.groups[0]})
-    assert [g.mode for g in marked.groups] == ["dense", "chain", "chain"]
-    assert marked.dense_bound == 4
+    for p in (prefix, marked):
+        assert len(p.groups[0].elements()) == 2
+        for g in p.groups[1:]:
+            with pytest.raises(DenseBoundExceededError):
+                g.elements()
+    assert [g.bound for g in marked.groups] == [4, 4, 4]
 
 
 def test_with_marks_reuses_groups_maps_and_kernels(monkeypatch):
@@ -236,7 +240,6 @@ def test_with_marks_reuses_groups_maps_and_kernels(monkeypatch):
     assert all(a is b for a, b in zip(derived.groups, prefix.groups))
     assert derived.homs is prefix.homs
     assert derived.kernel(1) is kernel
-    assert derived.dense_bound == prefix.dense_bound
     # the same marks as a prefix assembled afresh from the new records
     again = parse_system(serialize_system(derived))
     assert again.a_marks == derived.a_marks and again.b0 == derived.b0
@@ -258,8 +261,9 @@ def test_build_wreath_tower_cycles_bases():
 
 
 def test_build_wreath_tower_chain_mode():
-    prefix = build_wreath_tower([("A5", 5)], 2, chain_mode=True, dense_bound=10_000)
-    assert prefix.groups[1].mode == "chain"
+    prefix = parse_system(serialize_system(build_wreath_tower([("A5", 5)], 2)), dense_bound=10_000)
+    with pytest.raises(DenseBoundExceededError):
+        prefix.groups[1].elements()
     assert prefix.groups[1].order == 60**5 * 60
     assert prefix.kernel(1).order == 60**5
 
@@ -279,7 +283,7 @@ def test_build_wreath_tower_rejections():
     "build",
     [
         lambda: parse_system(doc(S3_STAGE, S4_STAGE)),
-        lambda: build_wreath_tower([("A5", 5)], 2, chain_mode=True),
+        lambda: build_wreath_tower([("A5", 5)], 2),
     ],
     ids=["dense", "chain"],
 )

@@ -334,7 +334,7 @@ def test_lattice_stage_out_of_range(capsys):
 @pytest.fixture(scope="module")
 def chain_tower(tmp_path_factory):
     path = tmp_path_factory.mktemp("chain") / "a5_tower.json"
-    assert main(["build-wreath", "A5:5", "--depth", "2", "--chain", "-o", str(path)]) == 0
+    assert main(["build-wreath", "A5:5", "--depth", "2", "-o", str(path)]) == 0
     return path
 
 
@@ -352,6 +352,36 @@ def test_check_wilson_on_chain_stage_is_bounded(chain_tower, tmp_path, capsys):
         assert check["status"] == "bounded"
         assert "stage 1 of order 46656000000" in check["note"]
         assert "--dense-bound" in check["note"]
+
+
+def test_lattice_above_the_dense_bound_is_an_input_error(chain_tower, capsys):
+    # the normal lattice of a stage of order 60^6 needs its element table
+    code = main(["lattice", str(chain_tower), "--stage", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "stage 1: order 46656000000, degree 25" in out
+    assert err == "error: group order 46656000000 exceeds dense bound 2000000\n"
+
+
+def test_count_class_of_p_groups_above_the_dense_bound(tmp_path, capsys):
+    # a p-group's composition factors are read off its order, with no table
+    path = tmp_path / "c2_tower.json"
+    assert main(["build-wreath", "C2:2", "--depth", "4", "-o", str(path)]) == 0
+    capsys.readouterr()
+    code = main(["check", str(path), "--dense-bound", "1000", "--count-class", "C2,C3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "stage 3: order 32768, degree 16" in out
+    assert "class factors (C2, C3): 1, 3, 7, 15 (strictly increasing)" in out
+
+
+@pytest.mark.parametrize("flag", [["--chain"], ["--dense-bound", "100"]])
+def test_build_wreath_takes_no_table_options(flag, capsys):
+    # building lists no element table, so there is no bound to choose
+    with pytest.raises(SystemExit) as exc:
+        main(["build-wreath", "S3:3", "--depth", "2", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("prefix_path", [PREFIX_PATH, None])
@@ -374,7 +404,7 @@ def test_check_seed_has_no_effect(prefix_path, chain_tower, tmp_path, capsys):
     ids=["all-stages", "chain-stages"],
 )
 def test_check_pair_checks_on_chain_stage_are_bounded(tmp_path, capsys, marked_stages, code):
-    prefix = build_wreath_tower([("A5", 5), ("A5", 5), ("C2", 2)], 3, chain_mode=True)
+    prefix = build_wreath_tower([("A5", 5), ("A5", 5), ("C2", 2)], 3)
     marks = {n: prefix.groups[n] for n in marked_stages}
     b0 = PermGroup.trivial(prefix.groups[0].degree) if 0 in marked_stages else None
     path, out = tmp_path / "tower.json", tmp_path / "report.json"

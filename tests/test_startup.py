@@ -112,7 +112,7 @@ def test_system_prefix_repr_names_its_fields():
     assert text.startswith("SystemPrefix(records=(StageRecord(degree=3, ")
     for field in ("groups", "homs", "a_marks", "b0"):
         assert f", {field}=" in text
-    assert text.endswith(", dense_bound=2000000)")
+    assert text.endswith(", b0=PermGroup(degree=3, order=3, bound=6))")
     assert "_kernels" not in text
 
 
@@ -158,7 +158,7 @@ def test_system_prefix_equality_and_hash_follow_records():
 def _exit_cases(tmp_path):
     golden = str(DATA / "s4_s3_prefix.json")
     chain_tower = tmp_path / "a5_chain.json"
-    chain_tower.write_text(serialize_system(build_wreath_tower([("A5", 5)], 2, chain_mode=True)))
+    chain_tower.write_text(serialize_system(build_wreath_tower([("A5", 5)], 2)))
     flags = ["--wilson", "--commuting-conjugates", "--strengthened", "--count-class", "C2,C3"]
     return [
         (0, ["check", golden, *flags]),
