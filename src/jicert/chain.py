@@ -1,7 +1,8 @@
 """Deterministic Schreier-Sims stabilizer chains.
 
-Internal permutations are raw image tuples; Permutation objects are converted
-at the boundary. The chain is built incrementally and every strong generator
+Internal permutations are raw image tuples, multiplied and inverted with
+perm._compose and perm._invert; Permutation objects are converted at the
+boundary. The chain is built incrementally and every strong generator
 is verified by sifting all of its Schreier generators, so the result is exact
 with no randomization anywhere.
 
@@ -37,19 +38,7 @@ from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import KernelBugError, MembershipError
-from .perm import Permutation
-
-
-def _mul(a: tuple, b: tuple) -> tuple:
-    # (a * b)(x) = a[b[x]]
-    return tuple(map(a.__getitem__, b))
-
-
-def _inv(a: tuple) -> tuple:
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return tuple(out)
+from .perm import Permutation, _compose, _invert
 
 
 class _Level:
@@ -130,19 +119,19 @@ class StabilizerChain:
         for p in list(level.orbit_order):
             q = h[p]
             if q not in level.tr:
-                self._orbit_add(level, q, _mul(h, level.tr[p]))
+                self._orbit_add(level, q, _compose(h, level.tr[p]))
                 queue.append(q)
         while queue:
             p = queue.popleft()
             for s in level.gens:
                 q = s[p]
                 if q not in level.tr:
-                    self._orbit_add(level, q, _mul(s, level.tr[p]))
+                    self._orbit_add(level, q, _compose(s, level.tr[p]))
                     queue.append(q)
 
     def _orbit_add(self, level: _Level, point: int, rep: tuple) -> None:
         level.tr[point] = rep
-        level.tr_inv[point] = _inv(rep)
+        level.tr_inv[point] = _invert(rep)
         level.orbit_order.append(point)
         level.frontier.extend((point, gi) for gi in range(len(level.gens)))
 
@@ -163,10 +152,10 @@ class StabilizerChain:
         while level.frontier:
             p, gi = level.frontier.popleft()
             s = level.gens[gi]
-            su = _mul(s, level.tr[p])
+            su = _compose(s, level.tr[p])
             if su == level.tr[s[p]]:
                 continue
-            h, j = self._sift_from(_mul(level.tr_inv[s[p]], su), i + 1)
+            h, j = self._sift_from(_compose(level.tr_inv[s[p]], su), i + 1)
             if h == idt:
                 continue
             if j == len(self.levels):
@@ -187,7 +176,7 @@ class StabilizerChain:
                 u_inv = level.tr_inv.get(p)
                 if u_inv is None:
                     return g, i
-                g = _mul(u_inv, g)
+                g = _compose(u_inv, g)
             i += 1
         return g, i
 
@@ -206,7 +195,7 @@ class StabilizerChain:
         products = [self._identity]
         for level in self.levels:
             reps = [u for p, u in level.tr.items() if p != level.base]
-            products += [_mul(x, u) for x in products for u in reps]
+            products += [_compose(x, u) for x in products for u in reps]
         return products
 
     def base(self) -> list[int]:
@@ -268,6 +257,6 @@ class StabilizerChain:
                     f"no element maps point {level.base} as prescribed"
                 )
             if u is not self._identity:
-                c = _mul(c, u)
-                c_inv = _inv(c)
+                c = _compose(c, u)
+                c_inv = _invert(c)
         return c

@@ -37,6 +37,12 @@ from .prefixes import build_wreath_tower, parse_system, serialize_system
 from .report import emit_report, input_digest, make_report
 
 
+def _bound(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jicert",
@@ -60,13 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--json", dest="json_out", metavar="OUT", help="also write a JSON report")
     c.add_argument(
         "--dense-bound",
-        type=int,
+        type=_bound,
         default=DEFAULT_DENSE_BOUND,
         help="largest group order kept as an explicit element table",
     )
     c.add_argument(
         "--subgroup-bound",
-        type=int,
+        type=_bound,
         default=DEFAULT_SUBGROUP_BOUND,
         help="largest group order swept for witness subgroups",
     )
@@ -86,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     l = sub.add_parser("lattice", help="print the normal structure of one stage")
     l.add_argument("file", help="prefix document (JSON)")
     l.add_argument("--stage", type=int, default=0, help="stage index (default 0)")
-    l.add_argument("--dense-bound", type=int, default=DEFAULT_DENSE_BOUND)
+    l.add_argument("--dense-bound", type=_bound, default=DEFAULT_DENSE_BOUND)
     l.set_defaults(func=cmd_lattice)
     return parser
 
@@ -107,9 +113,11 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     names = None
     cls = None
-    if args.count_class:
+    if args.count_class is not None:
         parts = re.split(r",(?![^(]*\))", args.count_class)  # keeps PSL(3,4) whole
         names = sorted(s.strip() for s in parts if s.strip())
+        if not names:
+            raise InputFormatError("bad --count-class: no group names")
         try:
             cls = class_from_names(names, SchurTable.load())
         except (KeyError, ValueError) as exc:

@@ -28,7 +28,7 @@ reduction) are deterministic so that downstream reports are byte-stable.
 from __future__ import annotations
 
 from collections import deque
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .chain import StabilizerChain
@@ -39,7 +39,7 @@ from .errors import (
     MembershipError,
     NotNormalError,
 )
-from .perm import Permutation, comm
+from .perm import Permutation, _compose, comm
 
 DEFAULT_DENSE_BOUND = 2_000_000
 
@@ -55,8 +55,8 @@ class ElementIndex:
     elems[i] * elems[j]. Only the generators' rows are built with
     permutation products. Every other row is composed along the path of its
     element in a breadth-first spanning tree over positions, one generator
-    row at a time and in C, since row(a * b)[i] = row(b)[row(a)[i]]. A row is
-    kept only for a position used as a generator (of the group or of a
+    row at a time with perm._compose, since row(a * b)[i] = row(b)[row(a)[i]].
+    A row is kept only for a position used as a generator (of the group or of a
     closure, or a conjugator), never for a coset representative or a path.
     The conjugation row of position j maps i to the position of
     elems[i] ** elems[j]; it is composed from the right row of j and the
@@ -128,7 +128,7 @@ class ElementIndex:
                 k = self._up[k]
             row = self._right[k]
             for g in reversed(path):
-                row = itemgetter(*row)(self._gen_rows[g])
+                row = _compose(self._gen_rows[g], row)
             self._right[j] = row
         return row
 
@@ -140,7 +140,7 @@ class ElementIndex:
                 self._inv = tuple(pos[x.inverse()] for x in self.elems)
             right, inv = self.right_row(j), self._inv
             # x ** t = (x^-1 * t)^-1 * t
-            row = itemgetter(*itemgetter(*itemgetter(*inv)(right))(inv))(right)
+            row = _compose(right, _compose(inv, _compose(right, inv)))
             self._conj[j] = row
         return row
 
@@ -151,7 +151,7 @@ class ElementIndex:
         rows of gens and elems[j] reach from H itself.
         """
         have = set(h)
-        _push_cosets((0, *h), [self.right_row(i) for i in (*gens, j)], have)
+        _push_cosets(tuple(h), [self.right_row(i) for i in (*gens, j)], have)
         return frozenset(have)
 
     def normal_closure(
@@ -232,16 +232,16 @@ def _push_cosets(start: tuple[int, ...], rows: Sequence[tuple[int, ...]], have: 
     """Add to have the right cosets of a subgroup H that the rows reach from
     the coset start.
 
-    have is a union of right cosets of H that holds start. Each coset H * r
-    is a tuple headed by its representative r, so a one-element H still
-    gives a tuple. For the row of s, r * s lies in a coset in have, or
-    H * r * s is new: the coset H * r pushed through the row.
+    have is a union of right cosets of H that holds start. Each coset is a
+    tuple of positions, and its first entry r serves as its representative:
+    for the row of s, r * s lies in a coset in have, or H * r * s is new, the
+    coset pushed through the row.
     """
     cosets = [start]
     for coset in cosets:
         for row in rows:
             if row[coset[0]] not in have:
-                cosets.append(itemgetter(*coset)(row))
+                cosets.append(_compose(row, coset))
                 have.update(cosets[-1])
 
 
@@ -609,18 +609,24 @@ def wreath_product(base: PermGroup, top: PermGroup) -> PermGroup:
     |base|^top.degree * |top| after construction.
     """
     db, dt = base.degree, top.degree
+    gens = _wreath_gens(base.generators, db, top.generators, dt)
+    w = PermGroup.from_generators(db * dt, gens)
+    if w.order != base.order ** dt * top.order:
+        raise KernelBugError("wreath product order mismatch")
+    return w
+
+
+def _wreath_gens(base_gens, db: int, top_gens, dt: int) -> list[Permutation]:
+    """Generators of a degree-db base wr a degree-dt top: each base generator
+    copied into block 0, then block 1, and so on, then the top generators
+    permuting whole blocks."""
     degree = db * dt
     gens = []
     for i in range(dt):
-        for g in base.generators:
+        for g in base_gens:
             images = list(range(degree))
-            for o in range(db):
-                images[i * db + o] = i * db + g.images[o]
+            images[i * db : (i + 1) * db] = [i * db + x for x in g.images]
             gens.append(Permutation(images))
-    for s in top.generators:
+    for s in top_gens:
         gens.append(Permutation([s.images[t] * db + o for t in range(dt) for o in range(db)]))
-    projected = base.order ** dt * top.order
-    w = PermGroup.from_generators(degree, gens)
-    if w.order != projected:
-        raise KernelBugError("wreath product order mismatch")
-    return w
+    return gens

@@ -1,6 +1,7 @@
 """Permutations on {0, ..., n-1} as immutable image tuples.
 
 Composition is function composition acting on the left: (p * q)(x) = p(q(x)).
+Every product and inverse of image tuples goes through _compose and _invert.
 Conjugation and commutators follow the right-conjugation convention
 x ** g = g^-1 * x * g and comm(a, b) = a^-1 * b^-1 * a * b, so that
 comm(a, b) = a^-1 * (a ** b).
@@ -9,9 +10,24 @@ comm(a, b) = a^-1 * (a ** b).
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegreeMismatchError
+
+
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The image tuple of a * b: (a * b)[x] = a[b[x]]."""
+    # itemgetter of one index returns the item itself, not a 1-tuple
+    return itemgetter(*b)(a) if len(b) > 1 else tuple(map(a.__getitem__, b))
+
+
+def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
+    """The image tuple of a^-1."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        out[x] = i
+    return tuple(out)
 
 
 class Permutation:
@@ -65,13 +81,10 @@ class Permutation:
             raise DegreeMismatchError(
                 f"cannot compose degree {len(self.images)} with degree {len(other.images)}"
             )
-        return Permutation._raw(tuple(map(self.images.__getitem__, other.images)))
+        return Permutation._raw(_compose(self.images, other.images))
 
     def inverse(self) -> Permutation:
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation._raw(tuple(inv))
+        return Permutation._raw(_invert(self.images))
 
     def __pow__(self, n: int | Permutation) -> Permutation:
         if isinstance(n, Permutation):

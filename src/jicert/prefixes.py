@@ -16,7 +16,7 @@ import json
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InputFormatError, JicertError, KernelBugError
-from .group import DEFAULT_DENSE_BOUND, PermGroup, _normalize_gens, subgroup_generated
+from .group import DEFAULT_DENSE_BOUND, PermGroup, _normalize_gens, _wreath_gens, subgroup_generated
 from .hom import GroupHom, graph_chain
 from .library import named_group
 from .perm import Permutation
@@ -327,39 +327,20 @@ def build_wreath_tower(
         bases.append(grp)
 
     first = bases[0]
-    records = [StageRecord(degree=first.degree, generators=tuple(first.generators))]
-    degrees = [first.degree]
-    expected_orders = [first.order]
     prev_gens = tuple(first.generators)
+    records = [StageRecord(degree=first.degree, generators=prev_gens)]
+    expected_orders = [first.order]
 
     for n in range(1, depth):
         base = bases[n % len(bases)]
-        db, dprev = base.degree, degrees[n - 1]
-        degree = db * dprev
-        idt_prev = Permutation.identity(dprev)
-
-        gens: list[Permutation] = []
-        images: list[Permutation] = []
-        # one copy of the base inside each block; these die under the map
-        for t in range(dprev):
-            for x in base.generators:
-                imgs = list(range(degree))
-                for o in range(db):
-                    imgs[t * db + o] = t * db + x.images[o]
-                gens.append(Permutation(tuple(imgs)))
-                images.append(idt_prev)
-        # the previous stage permutes the blocks and survives the map
-        for y in prev_gens:
-            imgs = [y.images[t] * db + o for t in range(dprev) for o in range(db)]
-            gens.append(Permutation(tuple(imgs)))
-            images.append(y)
-
-        records.append(
-            StageRecord(degree=degree, generators=tuple(gens), images=tuple(images))
-        )
-        degrees.append(degree)
-        expected_orders.append(base.order ** dprev * expected_orders[n - 1])
-        prev_gens = tuple(gens)
+        dprev = records[-1].degree
+        gens = tuple(_wreath_gens(base.generators, base.degree, prev_gens, dprev))
+        # the block copies of the base die under the map; the previous
+        # stage permutes the blocks and survives it
+        images = (Permutation.identity(dprev),) * (len(gens) - len(prev_gens)) + prev_gens
+        records.append(StageRecord(degree=base.degree * dprev, generators=gens, images=images))
+        expected_orders.append(base.order ** dprev * expected_orders[-1])
+        prev_gens = gens
 
     prefix = _assemble(tuple(records))
     for n, grp in enumerate(prefix.groups):

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-import jicert.chain as chain_mod
 from jicert import MembershipError, Permutation, build_wreath_tower, parse_system
 from jicert.chain import StabilizerChain
 from jicert.hom import _graph_gens
+from jicert.perm import _compose
 
 
 S4_GENS = [(1, 2, 3, 0), (1, 0, 2, 3)]
@@ -125,7 +125,7 @@ def _drain_to_every_level(self, i):
     while level.frontier:
         p, gi = level.frontier.popleft()
         s = level.gens[gi]
-        g = chain_mod._mul(level.tr_inv[s[p]], chain_mod._mul(s, level.tr[p]))
+        g = _compose(level.tr_inv[s[p]], _compose(s, level.tr[p]))
         if g == idt:
             continue
         h, j = self._sift_from(g, i + 1)
@@ -170,9 +170,9 @@ def _check_strong_generating_set(chain):
         for s in level.gens:
             assert all(s[b] == b for b in base[:i])
         for p, u in level.tr.items():
-            assert u[level.base] == p and chain_mod._mul(u, level.tr_inv[p]) == idt
+            assert u[level.base] == p and _compose(u, level.tr_inv[p]) == idt
             for s in level.gens:
-                g = chain_mod._mul(level.tr_inv[s[p]], chain_mod._mul(s, u))
+                g = _compose(level.tr_inv[s[p]], _compose(s, u))
                 assert chain._sift_from(g, i + 1)[0] == idt
 
 

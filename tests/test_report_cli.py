@@ -260,6 +260,34 @@ def test_check_bad_count_class(capsys):
     assert "bad --count-class" in err
 
 
+@pytest.mark.parametrize("names", ["", ",", " , "])
+def test_check_empty_count_class(names, capsys):
+    code = main(["check", str(PREFIX_PATH), "--count-class", names])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "bad --count-class" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("check", "--subgroup-bound"), ("check", "--dense-bound"), ("lattice", "--dense-bound")],
+)
+@pytest.mark.parametrize("value", ["-1", "-5", "ten"])
+def test_bound_must_be_a_non_negative_integer(command, option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(PREFIX_PATH), option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: expected a non-negative integer, got '{value}'" in err
+
+
+def test_zero_bounds_are_accepted(capsys):
+    code = main(["check", str(PREFIX_PATH), "--wilson", "--subgroup-bound", "0"])
+    assert code == 3
+    assert "above the bound 0" in capsys.readouterr().out
+
+
 # -- build-wreath subcommand ----------------------------------------------------
 
 
