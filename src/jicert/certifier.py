@@ -18,11 +18,18 @@ predicate over the stage context and one candidate witness: the stage sweeps
 report the first candidate for which it holds, and revalidate_witness parses
 a witness and calls the same predicate, so the search and the independent
 re-check agree by construction.
+
+certify_system runs every check family from one table, _FAMILIES.  A row
+gives the family's CertifyOptions flag (None: always on), its check names,
+whether it also runs at the deepest stage, its check_*_stage function, and
+inputs(prefix, n): the check's positional arguments at stage n, or the
+family's not-applicable note there.  CHECK_ORDER and the stages each
+family's limit claim covers are read from the same rows.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .classdata import SchurTable, SimpleClass, count_class_factors
 from .errors import (
@@ -74,16 +81,6 @@ CHECK_WILSON_II = "wilson_ii"
 CHECK_COMMUTING_CONJUGATES = "commuting_conjugates"
 CHECK_DICHOTOMY = "normalized_dichotomy"
 CHECK_NO_CENTRAL_FACTOR = "no_central_factor"
-
-CHECK_ORDER = (
-    CHECK_CRITICAL_PAIR,
-    CHECK_CENTRALIZER_PRODUCT,
-    CHECK_WILSON_I,
-    CHECK_WILSON_II,
-    CHECK_COMMUTING_CONJUGATES,
-    CHECK_DICHOTOMY,
-    CHECK_NO_CENTRAL_FACTOR,
-)
 
 
 class CheckResult(NamedTuple):
@@ -680,12 +677,68 @@ def derive_critical_marks(prefix: SystemPrefix) -> SystemPrefix:
 # -- whole-prefix certification ----------------------------------------------
 
 
+def _kernel_at(prefix: SystemPrefix, n: int) -> Optional[PermGroup]:
+    return prefix.b0 if n == 0 else prefix.kernel(n)
+
+
+def _pair_inputs(prefix: SystemPrefix, n: int) -> Union[str, tuple]:
+    a_next, a_n = prefix.a_marks[n + 1], prefix.a_marks[n]
+    # only b0 can be missing; a kernel is computed once both a marks are there
+    absent = {f"a[{n + 1}]": a_next is None, f"a[{n}]": a_n is None,
+              "b0": n == 0 and prefix.b0 is None}
+    if missing := [what for what, gone in absent.items() if gone]:
+        return f"missing marks: {', '.join(missing)}"
+    return prefix.homs[n], a_next, a_n, _kernel_at(prefix, n)
+
+
+def _wilson_inputs(prefix: SystemPrefix, n: int) -> Union[str, tuple]:
+    k = _kernel_at(prefix, n)
+    return "stage 0 has no b0 mark to act as kernel" if k is None else (prefix.groups[n], k)
+
+
+def _commuting_inputs(prefix: SystemPrefix, n: int) -> Union[str, tuple]:
+    a_n = prefix.a_marks[n]
+    return f"missing mark a[{n}]" if a_n is None else (prefix.groups[n], a_n)
+
+
+def _strengthened_inputs(prefix: SystemPrefix, n: int) -> Union[str, tuple]:
+    a_next, a_n = prefix.a_marks[n + 1], prefix.a_marks[n]
+    if a_next is None or a_n is None or (b_n := _kernel_at(prefix, n)) is None:
+        return "missing marks"
+    return prefix.groups[n], a_n, b_n, prefix.homs[n].image(a_next)
+
+
+class _Family(NamedTuple):
+    """One row of the family table (see the module docstring)."""
+
+    flag: Optional[str]
+    names: tuple[str, ...]
+    deepest: bool
+    check: Callable[..., StageVerdict]
+    inputs: Callable[[SystemPrefix, int], Union[str, tuple]]
+
+
+_FAMILIES = (
+    _Family(None, (CHECK_CRITICAL_PAIR, CHECK_CENTRALIZER_PRODUCT), False,
+            check_critical_stage, _pair_inputs),
+    _Family("wilson", (CHECK_WILSON_I, CHECK_WILSON_II), True,
+            check_wilson_stage, _wilson_inputs),
+    _Family("commuting_conjugates", (CHECK_COMMUTING_CONJUGATES,), True,
+            check_commuting_conjugates_stage, _commuting_inputs),
+    _Family("strengthened", (CHECK_DICHOTOMY, CHECK_NO_CENTRAL_FACTOR), False,
+            check_strengthened_stage, _strengthened_inputs),
+)
+_PAIR, _WILSON, _COMMUTING, _STRENGTHENED = _FAMILIES
+
+CHECK_ORDER = tuple(name for family in _FAMILIES for name in family.names)
+
+
+def _requested(family: _Family, options: CertifyOptions) -> bool:
+    return family.flag is None or getattr(options, family.flag)
+
+
 def _merge_or_bound(
-    target: StageVerdict,
-    names: Sequence[str],
-    check: Callable[..., StageVerdict],
-    *args,
-    **kwargs,
+    target: StageVerdict, names: Sequence[str], check: Callable[..., StageVerdict], *args, **kwargs
 ) -> None:
     """Merge check(*args, **kwargs), or mark names bounded when the stage is too big.
 
@@ -735,56 +788,36 @@ def _status(sv: StageVerdict, name: str) -> Optional[str]:
     return res.status if res else None
 
 
-def _family_certified(
-    stages: Sequence[StageVerdict], names: Sequence[str], indices: Sequence[int]
-) -> bool:
-    """True when every named check ran and passed at every listed stage."""
-    if not indices:
-        return False
-    for i in indices:
-        for name in names:
-            if _status(stages[i], name) != PASS:
-                return False
-    return True
-
-
 def _limit_claim(stages: Sequence[StageVerdict], options: CertifyOptions) -> str:
-    last = len(stages) - 1
-    interior = list(range(last))
-    everything = list(range(last + 1))
-
-    if last == 0:
+    if len(stages) == 1:
         return "the prefix has a single stage; no limit property is certified"
 
+    def certified(family: _Family) -> bool:
+        covered = stages if family.deepest else stages[:-1]
+        return _requested(family, options) and all(
+            _status(sv, name) == PASS for sv in covered for name in family.names
+        )
+
     sentences = []
-    critical_ok = _family_certified(
-        stages, (CHECK_CRITICAL_PAIR, CHECK_CENTRALIZER_PRODUCT), interior
-    )
-    if critical_ok:
+    if certified(_PAIR):
         s = (
             "if the pair conditions continue to hold at all but finitely many "
             "stages of an inverse system extending this prefix, its limit is "
             "just infinite and not virtually pronilpotent"
         )
-        if options.commuting_conjugates and _family_certified(
-            stages, (CHECK_COMMUTING_CONJUGATES,), everything
-        ):
+        if certified(_COMMUTING):
             s += (
                 "; if the commuting-conjugates condition also holds at "
                 "infinitely many stages, the limit is hereditarily just infinite"
             )
-        if options.strengthened and _family_certified(
-            stages, (CHECK_DICHOTOMY, CHECK_NO_CENTRAL_FACTOR), interior
-        ):
+        if certified(_STRENGTHENED):
             s += (
                 "; if the dichotomy and indecomposability conditions also hold "
                 "at all but finitely many stages, the limit is hereditarily "
                 "just infinite and not virtually pronilpotent"
             )
         sentences.append(s)
-    if options.wilson and _family_certified(
-        stages, (CHECK_WILSON_I, CHECK_WILSON_II), everything
-    ):
+    if certified(_WILSON):
         sentences.append(
             "if the kernel-containment and commuting-generation conditions hold "
             "at every stage of an extension, the limit is just infinite, and is "
@@ -801,7 +834,7 @@ def _limit_claim(stages: Sequence[StageVerdict], options: CertifyOptions) -> str
 def certify_system(
     prefix: SystemPrefix, options: Optional[CertifyOptions] = None
 ) -> SystemVerdict:
-    """Run the requested checks at every stage and assemble the verdict.
+    """Run the requested check families at every stage and assemble the verdict.
 
     The pair checks always run where marks allow; the other families are
     opt-in.  Kernels come from the prefix (computed from the connecting maps
@@ -816,109 +849,29 @@ def certify_system(
         StageVerdict(stage_index=n, order=grp.order, degree=grp.degree)
         for n, grp in enumerate(prefix.groups)
     ]
-
-    def kernel_at(n: int) -> Optional[PermGroup]:
-        return prefix.b0 if n == 0 else prefix.kernel(n)
-
-    pair_checks = (CHECK_CRITICAL_PAIR, CHECK_CENTRALIZER_PRODUCT)
-    for n in range(last):
-        a_next, a_n = prefix.a_marks[n + 1], prefix.a_marks[n]
-        # only b0 can be missing; a kernel is computed once both a marks are there
-        missing = [
-            what
-            for what, absent in (
-                (f"a[{n + 1}]", a_next is None),
-                (f"a[{n}]", a_n is None),
-                ("b0", n == 0 and prefix.b0 is None),
-            )
-            if absent
-        ]
-        if missing:
-            _mark_na(verdicts[n], pair_checks, f"missing marks: {', '.join(missing)}")
-        else:
-            _merge_or_bound(
-                verdicts[n],
-                pair_checks,
-                check_critical_stage,
-                prefix.homs[n],
-                a_next,
-                a_n,
-                kernel_at(n),
-                stage_index=n,
-            )
-    _mark_na(verdicts[last], pair_checks, "deepest stage: no further connecting map")
-
-    if options.wilson:
-        wilson_checks = (CHECK_WILSON_I, CHECK_WILSON_II)
-        for n in range(last + 1):
-            k = kernel_at(n)
-            if k is None:
-                _mark_na(
-                    verdicts[n],
-                    wilson_checks,
-                    "stage 0 has no b0 mark to act as kernel",
-                )
+    for family in _FAMILIES:
+        if not _requested(family, options):
+            continue
+        # the opt-in families sweep subgroups, so they take the subgroup bound
+        bound = {} if family.flag is None else {"subgroup_bound": options.subgroup_bound}
+        # looked up in the module when called, so a wrapper bound over the
+        # module's name (a profiler's span) sees the call
+        check = globals()[family.check.__name__]
+        for n, sv in enumerate(verdicts):
+            if n == last and not family.deepest:
+                _mark_na(sv, family.names, "deepest stage: no further connecting map")
+            elif isinstance(got := family.inputs(prefix, n), str):
+                _mark_na(sv, family.names, got)
             else:
-                _merge_or_bound(
-                    verdicts[n],
-                    wilson_checks,
-                    check_wilson_stage,
-                    prefix.groups[n],
-                    k,
-                    stage_index=n,
-                    subgroup_bound=options.subgroup_bound,
-                )
-
-    if options.commuting_conjugates:
-        for n in range(last + 1):
-            a_n = prefix.a_marks[n]
-            if a_n is None:
-                _mark_na(
-                    verdicts[n], (CHECK_COMMUTING_CONJUGATES,), f"missing mark a[{n}]"
-                )
-            else:
-                _merge_or_bound(
-                    verdicts[n],
-                    (CHECK_COMMUTING_CONJUGATES,),
-                    check_commuting_conjugates_stage,
-                    prefix.groups[n],
-                    a_n,
-                    stage_index=n,
-                    subgroup_bound=options.subgroup_bound,
-                )
-
-    if options.strengthened:
-        thmb_checks = (CHECK_DICHOTOMY, CHECK_NO_CENTRAL_FACTOR)
-        for n in range(last):
-            a_next, a_n = prefix.a_marks[n + 1], prefix.a_marks[n]
-            if a_next is None or a_n is None or (b_n := kernel_at(n)) is None:
-                _mark_na(verdicts[n], thmb_checks, "missing marks")
-            else:
-                p_n = prefix.homs[n].image(a_next)
-                _merge_or_bound(
-                    verdicts[n],
-                    thmb_checks,
-                    check_strengthened_stage,
-                    prefix.groups[n],
-                    a_n,
-                    b_n,
-                    p_n,
-                    stage_index=n,
-                    subgroup_bound=options.subgroup_bound,
-                )
-        _mark_na(verdicts[last], thmb_checks, "deepest stage: no further connecting map")
+                _merge_or_bound(sv, family.names, check, *got, stage_index=n, **bound)
 
     class_counts = None
     if options.count_class is not None:
-        counts = tuple(
-            count_class_factors(grp, options.count_class) for grp in prefix.groups
-        )
+        counts = tuple(count_class_factors(grp, options.count_class) for grp in prefix.groups)
         class_counts = ClassCountReport(
             member_names=options.count_class.member_names,
             counts=counts,
-            strictly_increasing=all(
-                counts[i] < counts[i + 1] for i in range(len(counts) - 1)
-            ),
+            strictly_increasing=all(a < b for a, b in zip(counts, counts[1:])),
         )
 
     return SystemVerdict(

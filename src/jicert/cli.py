@@ -10,7 +10,7 @@ failed cross-check or an unexpected exception.
 from __future__ import annotations
 
 import argparse
-import gc
+import os
 import pathlib
 import re
 import sys
@@ -107,6 +107,13 @@ def _read_text(path: str) -> tuple[bytes, str]:
         raise InputFormatError(f"{path} is not UTF-8 text: {exc}") from None
 
 
+def _write_bytes(path: str, data: bytes) -> None:
+    try:
+        pathlib.Path(path).write_bytes(data)
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {path}: {exc}") from None
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     data, text = _read_text(args.file)
     prefix = parse_system(text, dense_bound=args.dense_bound)
@@ -136,18 +143,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         digest=input_digest(data),
         orders=[g.order for g in prefix.groups],
         degrees=[g.degree for g in prefix.groups],
-        options={
-            "wilson": args.wilson,
-            "commuting_conjugates": args.commuting_conjugates,
-            "strengthened": args.strengthened,
-            "subgroup_bound": args.subgroup_bound,
-            "dense_bound": args.dense_bound,
-            "count_class": names,
-        },
+        options={**options._asdict(), "dense_bound": args.dense_bound, "count_class": names},
     )
     sys.stdout.write(emit_report(report, "text").decode())
     if args.json_out:
-        pathlib.Path(args.json_out).write_bytes(emit_report(report, "json"))
+        _write_bytes(args.json_out, emit_report(report, "json"))
 
     statuses = {res.status for sv in verdict.stages for res in sv.checks.values()}
     if FAIL in statuses:
@@ -173,7 +173,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     prefix = build_wreath_tower(_parse_specs(args.spec), args.depth)
     text = serialize_system(prefix)
     if args.output:
-        pathlib.Path(args.output).write_text(text)
+        _write_bytes(args.output, text.encode())
         orders = ", ".join(str(g.order) for g in prefix.groups)
         print(f"wrote {args.output}: {len(prefix.groups)} stages, orders {orders}")
     else:
@@ -225,10 +225,16 @@ def main(argv=None) -> int:
 
 
 def run(argv=None) -> int:
-    """main() for a process about to exit; gc.freeze() spares it the final collection."""
+    """main(), then flush the output and end the process with main's code,
+    skipping the interpreter's teardown. If a flush fails (a closed pipe),
+    return instead: the interpreter's own exit reports it and exits 120."""
     code = main(argv)
-    gc.freeze()
-    return code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        return code
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -244,6 +244,25 @@ def test_check_missing_file(capsys):
     assert err.startswith("error: cannot read")
 
 
+def test_check_unwritable_json_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    code = main(["check", str(PREFIX_PATH), "--json", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err
+
+
+def test_build_unwritable_output_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code = main(["build-wreath", "S3:3", "--depth", "2", "-o", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in captured.err
+
+
 def test_check_bad_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ nope")

@@ -2,9 +2,11 @@
 dataclasses nor inspect, and the value types that were dataclasses keep
 their behaviour as named tuples and slotted classes. Exit through
 jicert.cli.run: a CLI process prints and writes what an in-process main()
-does."""
+does, ends with main's code, and exits 120 when its output cannot be
+flushed."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -195,20 +197,36 @@ def test_cli_process_matches_in_process_main(tmp_path, capsys):
         report.unlink(missing_ok=True)
 
 
-def test_run_returns_the_code_of_main_and_freezes_the_heap():
-    code = (
-        "import gc, sys, jicert.cli as cli; "
-        f"code = cli.run(['check', {str(DATA / 's4_s3_prefix.json')!r}]); "
-        "print(code, gc.get_freeze_count() > 0, file=sys.stderr)"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PYTHONPATH": str(SRC)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert proc.stderr == "0 True\n"
+def test_run_ends_the_process_with_the_code_of_main(tmp_path):
+    # run() does not return: the process ends inside it with main's code
+    code = "import sys, jicert.cli as cli; cli.run(sys.argv[1:]); print('returned')"
+    for expected, args in _exit_cases(tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            env={"PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == expected, args
+        assert "returned" not in proc.stdout, args
+
+
+def test_closed_stdout_exits_120():
+    # the read end is closed before the process starts, so its flush fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "jicert.cli", "check", str(DATA / "s4_s3_prefix.json")],
+            env={"PYTHONPATH": str(SRC)},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120
+    assert proc.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
 
 
 def test_console_script_enters_through_run():
