@@ -53,7 +53,6 @@ from .group import (
     PermGroup,
     center,
     centralizer,
-    centralizer_of_section,
     commutator_subgroup,
     derived_subgroup,
     direct_product,

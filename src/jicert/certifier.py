@@ -43,7 +43,6 @@ from .errors import (
 from .group import (
     PermGroup,
     centralizer,
-    centralizer_of_section,
     commutator_subgroup,
     e_p_subgroup,
     is_nilpotent,
@@ -260,15 +259,15 @@ def _commuting_conjugates_fails(g: PermGroup, a: PermGroup, u: PermGroup) -> boo
     return closure is not None and a.is_subgroup_of(closure)
 
 
-def _dichotomy_fails(a: PermGroup, pc: PermGroup, h: PermGroup, m: PermGroup) -> bool:
+def _dichotomy_fails(g: PermGroup, a: PermGroup, pc: PermGroup, h: PermGroup, m: PermGroup) -> bool:
     """h is normalized by a, does not contain pc = P C(P), and does not lie
-    inside m, a maximal normal subgroup of a (the trivial a has none)."""
+    inside m, a maximal normal subgroup of a in the stage g (trivial a has none)."""
     return (
         not a.is_trivial()
         and not h.is_subgroup_of(m)
         and not pc.is_subgroup_of(h)
         and all(h.contains(x ** y) for y in a.generators for x in h.generators)
-        and m in maximal_normal_subgroups(a)
+        and m in maximal_normal_subgroups(g, a)
     )
 
 
@@ -495,9 +494,9 @@ def check_strengthened_stage(
         )
     else:
         pc = _centralizer_product(g, p)
-        maxn = maximal_normal_subgroups(a)
+        maxn = maximal_normal_subgroups(g, a)
         swept = ((h, m) for h in invariant_subgroups(g, a.generators) for m in maxn)
-        hit = next(((h, m) for h, m in swept if _dichotomy_fails(a, pc, h, m)), None)
+        hit = next(((h, m) for h, m in swept if _dichotomy_fails(g, a, pc, h, m)), None)
         if hit is None:
             sv.checks[CHECK_DICHOTOMY] = CheckResult(
                 PASS, note="every normalized subgroup satisfies the dichotomy"
@@ -514,7 +513,7 @@ def check_strengthened_stage(
             )
 
     above = [n for n in normal_subgroups(g) if a.is_subgroup_of(n)]
-    split = ((n, parts) for n in above if (parts := central_decomposition(n)) is not None)
+    split = ((n, parts) for n in above if (parts := central_decomposition(g, n)) is not None)
     bad = next(((n, fs) for n, fs in split if _no_central_factor_fails(g, a, n, *fs)), None)
     if bad is None:
         sv.checks[CHECK_NO_CENTRAL_FACTOR] = CheckResult(
@@ -544,7 +543,7 @@ def check_centralize_or_contain(
     if not is_critical_pair(g, a, b)[0]:
         raise ValueError("the pair is not critical")
     _require_normal(g, k, "the normal subgroup")
-    if k.is_subgroup_of(centralizer_of_section(g, a, b)):
+    if k.is_subgroup_of(centralizer(g, a, b)):
         return True
     return a.is_subgroup_of(k) and not is_nilpotent(k)
 
@@ -936,7 +935,7 @@ def revalidate_witness(
         return given(a, u) and _commuting_conjugates_fails(g, a, u)
     if check_name == CHECK_DICHOTOMY:
         h, m = sub("subgroup"), sub("maximal_normal")
-        return given(a, p, h, m) and _dichotomy_fails(a, _centralizer_product(g, p), h, m)
+        return given(a, p, h, m) and _dichotomy_fails(g, a, _centralizer_product(g, p), h, m)
     if check_name == CHECK_NO_CENTRAL_FACTOR:
         factors = witness.get("factors")
         if not isinstance(factors, list) or len(factors) != 2:

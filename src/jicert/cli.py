@@ -114,6 +114,13 @@ def _write_bytes(path: str, data: bytes) -> None:
         raise InputFormatError(f"cannot write {path}: {exc}") from None
 
 
+def _write_stdout(text: str) -> None:
+    """All standard output goes here; with fd 1 closed it is an input error."""
+    if sys.stdout is None:
+        raise InputFormatError("cannot write standard output")
+    sys.stdout.write(text)
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     data, text = _read_text(args.file)
     prefix = parse_system(text, dense_bound=args.dense_bound)
@@ -145,7 +152,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         degrees=[g.degree for g in prefix.groups],
         options={**options._asdict(), "dense_bound": args.dense_bound, "count_class": names},
     )
-    sys.stdout.write(emit_report(report, "text").decode())
+    _write_stdout(emit_report(report, "text").decode())
     if args.json_out:
         _write_bytes(args.json_out, emit_report(report, "json"))
 
@@ -175,9 +182,9 @@ def cmd_build(args: argparse.Namespace) -> int:
     if args.output:
         _write_bytes(args.output, text.encode())
         orders = ", ".join(str(g.order) for g in prefix.groups)
-        print(f"wrote {args.output}: {len(prefix.groups)} stages, orders {orders}")
+        _write_stdout(f"wrote {args.output}: {len(prefix.groups)} stages, orders {orders}\n")
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     return 0
 
 
@@ -189,21 +196,21 @@ def cmd_lattice(args: argparse.Namespace) -> int:
             f"stage {args.stage} out of range: prefix has {len(prefix.groups)} stages"
         )
     g = prefix.groups[args.stage]
-    print(f"stage {args.stage}: order {g.order}, degree {g.degree}")
+    _write_stdout(f"stage {args.stage}: order {g.order}, degree {g.degree}\n")
 
     def orders(groups) -> str:
         return ", ".join(str(h.order) for h in groups)
 
-    print(f"normal subgroup orders: {orders(normal_subgroups(g))}")
+    _write_stdout(f"normal subgroup orders: {orders(normal_subgroups(g))}\n")
     if not g.is_trivial():
-        print(f"minimal normal orders: {orders(minimal_normal_subgroups(g))}")
-        print(f"maximal normal orders: {orders(maximal_normal_subgroups(g))}")
+        _write_stdout(f"minimal normal orders: {orders(minimal_normal_subgroups(g))}\n")
+        _write_stdout(f"maximal normal orders: {orders(maximal_normal_subgroups(g))}\n")
     pairs = ", ".join(f"({a.order}, {b.order})" for a, b in critical_pairs(g))
-    print(f"critical pairs (top, bottom): {pairs or 'none'}")
-    print(f"chief series orders: {orders(chief_series(g))}")
+    _write_stdout(f"critical pairs (top, bottom): {pairs or 'none'}\n")
+    _write_stdout(f"chief series orders: {orders(chief_series(g))}\n")
     facts = composition_factors(g)
     shown = ", ".join(f"{name} x {k}" for name, k in sorted(facts.items()))
-    print(f"composition factors: {shown or 'none'}")
+    _write_stdout(f"composition factors: {shown or 'none'}\n")
     return 0
 
 

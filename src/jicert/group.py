@@ -6,20 +6,18 @@ order and membership before any element is listed, so a group may be far past
 any table's reach. The element table is built on first use, from the chain
 with one product per element, and only if the group's order is at most its
 bound; past the bound, elements() raises DenseBoundExceededError before
-enumerating. Anything that scans elements (centralizers, conjugacy classes,
-normal-subgroup lattices) reads the table. A group given by its element set
-alone gets greedy generators, each tested for membership on a chain grown one
-generator at a time.
+enumerating. A group given by its element set alone gets greedy generators,
+each tested for membership on a chain grown one generator at a time.
 
 A group with a table also carries an element index, built on first use and
 kept on the group: its elements sorted by image tuple and each element's
 position. Only the generators' multiplication rows are built with permutation
 products, and the inversion map with one inverse per element; every other
 multiplication or conjugation row is composed from them. Closure under a
-parent that may hold a table works on sets of positions: normal closures,
-commutator subgroups, conjugacy classes and the invariant-subgroup sweeps
-(the normal lattice among them) all run on the index, so they multiply no
-permutations per closure step.
+parent that may hold a table works on sets of positions: closures,
+centralizers, conjugacy classes and invariant sweeps all run on the index,
+so a subgroup of a stage builds no index of its own, and no permutation is
+multiplied per element or closure step.
 
 All derived orderings (sorted elements, conjugacy classes, generator
 reduction) are deterministic so that downstream reports are byte-stable.
@@ -63,8 +61,8 @@ class ElementIndex:
     inversion map, which is built once with one inverse per element. The
     invariant-subgroup lattices (sweeps) are kept here, keyed by the position
     set of the swept subgroup (None for the whole group) and the positions of
-    the elements that normalize them; the normal lattice is the entry of the
-    group's own generators.
+    the elements that normalize them; a normal subgroup's normal lattice is
+    the entry of its own generators, the group's among them.
     """
 
     __slots__ = (
@@ -135,14 +133,16 @@ class ElementIndex:
     def conj_row(self, j: int) -> tuple[int, ...]:
         row = self._conj.get(j)
         if row is None:
-            if self._inv is None:
-                pos = self.pos
-                self._inv = tuple(pos[x.inverse()] for x in self.elems)
-            right, inv = self.right_row(j), self._inv
-            # x ** t = (x^-1 * t)^-1 * t
-            row = _compose(right, _compose(inv, _compose(right, inv)))
-            self._conj[j] = row
+            row = self._conj[j] = self._conjugation(j)
         return row
+
+    def _conjugation(self, j: int) -> tuple[int, ...]:
+        """The conjugation row of position j, composed afresh and not kept."""
+        if self._inv is None:
+            self._inv = tuple(self.pos[x.inverse()] for x in self.elems)
+        right, inv = self.right_row(j), self._inv
+        # x ** t = (x^-1 * t)^-1 * t
+        return _compose(right, _compose(inv, _compose(right, inv)))
 
     def extend(self, h: frozenset[int], gens: Sequence[int], j: int) -> frozenset[int]:
         """Positions of <H, elems[j]>, where h holds the positions of H = <gens>.
@@ -228,9 +228,9 @@ class ElementIndex:
         )
 
 
-def _push_cosets(start: tuple[int, ...], rows: Sequence[tuple[int, ...]], have: set[int]) -> None:
+def _push_cosets(start: tuple, rows: Sequence[tuple], have: set[int]) -> list[tuple]:
     """Add to have the right cosets of a subgroup H that the rows reach from
-    the coset start.
+    the coset start, and return them, start first.
 
     have is a union of right cosets of H that holds start. Each coset is a
     tuple of positions, and its first entry r serves as its representative:
@@ -243,6 +243,7 @@ def _push_cosets(start: tuple[int, ...], rows: Sequence[tuple[int, ...]], have: 
             if row[coset[0]] not in have:
                 cosets.append(_compose(row, coset))
                 have.update(cosets[-1])
+    return cosets
 
 
 class PermGroup:
@@ -261,7 +262,6 @@ class PermGroup:
         "_sorted",
         "_chain",
         "_order",
-        "_classes",
         "_index",
     )
 
@@ -273,7 +273,6 @@ class PermGroup:
         self._chain = chain
         self._sorted = None
         self._order = None
-        self._classes = None
         self._index = None
 
     # -- factories ----------------------------------------------------------
@@ -481,7 +480,7 @@ def product_order(a: PermGroup, b: PermGroup) -> int:
 
 
 def commutator_subgroup(parent: PermGroup, a: PermGroup, b: PermGroup) -> PermGroup:
-    """[A, B]: the normal closure in <A, B> of generator commutators.
+    """[A, B]: the normal closure in <A, B> of the nontrivial generator commutators.
 
     Under a parent that may hold a table the closure runs on its element index,
     conjugating by the generators of <A, B>, so <A, B> is never built.
@@ -489,10 +488,12 @@ def commutator_subgroup(parent: PermGroup, a: PermGroup, b: PermGroup) -> PermGr
     for sub in (a, b):
         if not sub.is_subgroup_of(parent):
             raise MembershipError("commutator arguments must be subgroups of parent")
+    seeds = _normalize_gens(parent.degree, [comm(x, y) for x in a.generators for y in b.generators])
+    if not seeds:
+        return PermGroup.trivial(parent.degree)
     envelope = _normalize_gens(parent.degree, a.generators + b.generators)
-    seeds = [comm(x, y) for x in a.generators for y in b.generators]
     if parent.may_hold_table:
-        return _index_closure(parent, _normalize_gens(parent.degree, seeds), envelope)
+        return _index_closure(parent, seeds, envelope)
     return normal_closure(subgroup_generated(parent, envelope), seeds)
 
 
@@ -500,38 +501,40 @@ def derived_subgroup(g: PermGroup) -> PermGroup:
     return commutator_subgroup(g, g, g)
 
 
-def centralizer(parent: PermGroup, sub: PermGroup) -> PermGroup:
-    """C_parent(sub), by scanning parent's element table."""
-    gens = sub.generators
-    hits = frozenset(
-        g for g in parent.elements() if all(g * s == s * g for s in gens)
-    )
-    return PermGroup.from_element_set(parent.degree, hits)
+def centralizer(parent: PermGroup, a: PermGroup, b: PermGroup | None = None) -> PermGroup:
+    """C_parent(A), or with b C_parent(A/B) = {g : [A, g] <= B} for B <= A
+    both normal in parent, on parent's element index.
+
+    g centralizes A/B exactly when g ** x lies in the right coset B * g for
+    each generator x of A (for C(A), g ** x is g), so each generator costs
+    one conjugation row. The coset labels are the cosets _push_cosets
+    reaches from B through the group's generator rows.
+    """
+    index = parent.element_index()
+    movers = [index.pos.get(x) for x in a.generators]
+    if None in movers:
+        raise MembershipError("A is not a subgroup of the parent group")
+    label: Sequence[int] = range(len(index.elems))
+    if b is not None:
+        if not b.is_subgroup_of(a):
+            raise MembershipError("B must be contained in A")
+        if not (a.is_normal_in(parent) and b.is_normal_in(parent)):
+            raise NotNormalError("section centralizer needs normal A and B")
+        start = tuple(sorted(map(index.pos.__getitem__, b.elements())))
+        label = [0] * len(index.elems)
+        rows = [index.right_row(t) for t in index.gens]
+        for k, coset in enumerate(_push_cosets(start, rows, set(start))):
+            for i in coset:
+                label[i] = k
+    hits: Iterable[int] = range(len(index.elems))
+    for j in movers:
+        row = index._conjugation(j)  # not kept: a row per centralized generator would pile up
+        hits = [i for i in hits if label[row[i]] == label[i]]
+    return PermGroup.from_element_set(parent.degree, frozenset(map(index.elems.__getitem__, hits)))
 
 
 def center(g: PermGroup) -> PermGroup:
     return centralizer(g, g)
-
-
-def centralizer_of_section(parent: PermGroup, a: PermGroup, b: PermGroup) -> PermGroup:
-    """C_parent(A/B) = {g : [A, g] <= B}, for B <= A both normal in parent.
-
-    Testing generators of A suffices: in parent/B, an element centralizes the
-    image of A exactly when it commutes with the images of A's generators.
-    """
-    if not b.is_subgroup_of(a):
-        raise MembershipError("B must be contained in A")
-    for sub in (a, b):
-        if not sub.is_normal_in(parent):
-            raise NotNormalError("section centralizer needs normal A and B")
-    # [x, g] = x^-1 * g^-1 * x * g, with each inverse formed once
-    pairs = [(x.inverse(), x) for x in a.generators]
-    hits = []
-    for g in parent.elements():
-        g_inv = g.inverse()
-        if all(b.contains(x_inv * g_inv * x * g) for x_inv, x in pairs):
-            hits.append(g)
-    return PermGroup.from_element_set(parent.degree, frozenset(hits))
 
 
 def lower_central_series(g: PermGroup) -> list[PermGroup]:
@@ -576,16 +579,13 @@ def is_prime(n: int) -> bool:
 
 
 def conjugacy_classes(g: PermGroup) -> tuple[tuple[Permutation, frozenset[Permutation]], ...]:
-    """Classes as (least member, element set), sorted by (size, least member)."""
-    if g._classes is not None:
-        return g._classes
+    """Classes as (least member, element set), sorted by (size, least member), off the index."""
     index = g.element_index()
     elems = index.elems
-    g._classes = tuple(
+    return tuple(
         (elems[orbit[0]], frozenset(elems[k] for k in orbit))
         for orbit in index.orbits(range(len(elems)), index.gens)
     )
-    return g._classes
 
 
 def direct_product(a: PermGroup, b: PermGroup) -> PermGroup:

@@ -20,7 +20,6 @@ from .group import (
     PermGroup,
     center,
     centralizer,
-    centralizer_of_section,
     e_p_subgroup,
     intersection,
     product_order,
@@ -112,16 +111,18 @@ def minimal_normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
     )
 
 
-def maximal_normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
-    """Maximal elements among the proper normal subgroups (trivial counts when
-    g is simple)."""
-    if g.is_trivial():
+def maximal_normal_subgroups(g: PermGroup, n: Optional[PermGroup] = None) -> tuple[PermGroup, ...]:
+    """Maximal elements among the proper normal subgroups of n (default g), a
+    normal subgroup of g (trivial counts when n is simple). n's lattice is
+    swept on g's index under n's own generators, as n sweeps it as a group."""
+    top = g if n is None else n
+    if top.is_trivial():
         raise ValueError("the trivial group has no proper normal subgroup")
-    proper = [n for n in normal_subgroups(g) if _proper_in(n, g)]
+    proper = [m for m in invariant_subgroups(g, top.generators, top) if _proper_in(m, top)]
     return tuple(
-        n
-        for n in proper
-        if not any(n.order < m.order and n.is_subgroup_of(m) for m in proper)
+        m
+        for m in proper
+        if not any(m.order < h.order and m.is_subgroup_of(h) for h in proper)
     )
 
 
@@ -239,7 +240,7 @@ def find_critical_refinement(g: PermGroup, k: PermGroup, lsub: PermGroup) -> Cri
         raise KernelBugError("refinement does not generate the chief factor top")
     if section_type(a, b) != section_type(k, lsub):
         raise KernelBugError("refined section is not isomorphic to the chief factor")
-    if centralizer_of_section(g, a, b) != centralizer_of_section(g, k, lsub):
+    if centralizer(g, a, b) != centralizer(g, k, lsub):
         raise KernelBugError("refined section has a different centralizer")
     ok, _witness = is_critical_pair(g, a, b)
     if not ok:
@@ -281,10 +282,12 @@ def _abelian_split(g: PermGroup) -> Optional[list[PermGroup]]:
         return None
     p = prime_power_base(g.order)
     if not p:
-        # Elements of p-power order form one factor, elements of order prime
-        # to p the other; both are proper and together they span g.
+        # Elements of p-power order (dividing p^e > |g|) form one factor,
+        # elements of order prime to p the other; both are proper and
+        # together they span g.
         p = min(q for q in range(2, g.order + 1) if g.order % q == 0)
-        part = [x for x in g.elements() if _is_ppow(x.order(), p)]
+        p_e = p ** g.order.bit_length()
+        part = [x for x in g.elements() if p_e % x.order() == 0]
         rest = [x for x in g.elements() if x.order() % p != 0]
         return [subgroup_generated(g, part), subgroup_generated(g, rest)]
     if max(x.order() for x in g.elements()) == g.order:
@@ -308,42 +311,39 @@ def _abelian_split(g: PermGroup) -> Optional[list[PermGroup]]:
     return [PermGroup.from_element_set(g.degree, w.elements()) for w in (w1, w2)]
 
 
-def _is_ppow(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
+def _central_factor_scan(g: PermGroup, n: PermGroup) -> Optional[list[PermGroup]]:
+    """A central decomposition (M, C_n(M) = C_g(M) n n) of n, M normal in n.
 
-
-def _central_factor_scan(g: PermGroup) -> Optional[list[PermGroup]]:
-    """Search (N, C_g(N)) over normal subgroups for a central decomposition.
-
-    Complete for nonabelian g: if g = H*K with [H, K] = 1 and both proper,
-    then N = C(C(H)) is normal (it is a factor in g = N * C(N), so inner
-    conjugation fixes it), C(N) is proper unless N is central, and the central
-    case collapses to g = K * Z(g) with K normal. Either way some normal
+    Complete for nonabelian n: if n = H*K with [H, K] = 1 and both proper,
+    then M = C(C(H)) is normal (it is a factor in n = M * C(M), so inner
+    conjugation fixes it), C(M) is proper unless M is central, and the central
+    case collapses to n = K * Z(n) with K normal. Either way some normal
     subgroup passes the scan below.
     """
-    for n in normal_subgroups(g):
-        if n.is_trivial() or not _proper_in(n, g):
+    for m in invariant_subgroups(g, n.generators, n):
+        if m.is_trivial() or not _proper_in(m, n):
             continue
-        c = centralizer(g, n)
-        if _proper_in(c, g) and product_order(n, c) == g.order:
-            return [n, c]
+        c = intersection(centralizer(g, m), n)
+        if _proper_in(c, n) and product_order(m, c) == n.order:
+            return [m, c]
     return None
 
 
-def central_decomposition(g: PermGroup) -> Optional[list[PermGroup]]:
-    """Two proper subgroups that commute elementwise and generate g, or None.
+def central_decomposition(g: PermGroup, n: Optional[PermGroup] = None) -> Optional[list[PermGroup]]:
+    """Two proper subgroups that commute elementwise and generate n (default
+    g), a normal subgroup of g, or None; the factors n gives as a group,
+    found on g's element index.
 
     None is a definitive verdict: the searches are complete (abelian structure
     on one side, the normal-subgroup centralizer scan on the other).
     """
-    found = _abelian_split(g) if g.is_abelian() else _central_factor_scan(g)
+    top = g if n is None else n
+    found = _abelian_split(top) if top.is_abelian() else _central_factor_scan(g, top)
     if found is not None:
         h, k = found
-        if not (_proper_in(h, g) and _proper_in(k, g)):
+        if not (_proper_in(h, top) and _proper_in(k, top)):
             raise KernelBugError("central factor is not proper")
-        if product_order(h, k) != g.order or not all(
+        if product_order(h, k) != top.order or not all(
             x * y == y * x for x in h.generators for y in k.generators
         ):
             raise KernelBugError("central factors do not decompose the group")
@@ -368,7 +368,7 @@ def centdec_witness(
         raise NotNormalError("lsub must be normal")
     if lsub.is_trivial():
         raise ValueError("lsub must be nontrivial")
-    maximal = maximal_normal_subgroups(lsub)
+    maximal = maximal_normal_subgroups(g, lsub)
     for h in normal_subgroups(g):
         if k.is_subgroup_of(h):
             continue

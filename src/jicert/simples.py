@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import InputFormatError, UnknownGroupError
-from .group import PermGroup, conjugacy_classes, is_prime
+from .group import PermGroup, is_prime
 
 _DATA_PATH = Path(__file__).parent / "data" / "schur_multipliers.txt"
 
@@ -52,20 +52,15 @@ def is_simple(g: PermGroup) -> bool:
     """Whether g is simple; nontrivial with no proper nontrivial normal subgroup.
 
     The normal closure of an element is constant on its conjugacy class, so
-    checking one representative per class covers every candidate generator of
-    a normal subgroup. Closures are position sets on g's element index; no
-    group is built for them.
+    closing the head of each orbit of g's element index under its generators,
+    bar the identity at position 0, covers every candidate generator of a
+    normal subgroup. Closures are position sets on the index; no group is built.
     """
-    if g.is_trivial():
-        return False
-    classes = conjugacy_classes(g)
     index = g.element_index()
-    for rep, _cls in classes:
-        if rep.is_identity():
-            continue
-        if len(index.normal_closure([index.pos[rep]], index.gens)[0]) < g.order:
-            return False
-    return True
+    return not g.is_trivial() and all(
+        len(index.normal_closure([orbit[0]], index.gens)[0]) == g.order
+        for orbit in index.orbits(range(1, g.order), index.gens)
+    )
 
 
 @functools.lru_cache(maxsize=1)

@@ -10,7 +10,6 @@ from jicert import (
     alternating,
     center,
     centralizer,
-    centralizer_of_section,
     commutator_subgroup,
     cyclic,
     derived_subgroup,
@@ -160,6 +159,32 @@ def test_centralizer():
     assert centralizer(g, g) == center(g)
 
 
+def test_centralizer_matches_oracle(small_corpus):
+    """C(A) for every normal and every cyclic subgroup A, against the
+    commutator test over all of A."""
+    for name, g in small_corpus.items():
+        elems = elem_tuples(g)
+        trivial = {oracles.identity(g.degree)}
+        cyclic_sets = {frozenset(subgroup_generated(g, [x]).elements()) for x in g.elements()}
+        subs = [frozenset(map(Permutation, n)) for n in oracles.normal_subgroups(g.degree, elems)]
+        for a_set in subs + sorted(cyclic_sets, key=sorted):
+            a = PermGroup.from_element_set(g.degree, a_set)
+            want = oracles.section_centralizer(g.degree, elems, {tuple(x) for x in a_set}, trivial)
+            assert elem_tuples(centralizer(g, a)) == want, name
+
+
+def test_centralizer_needs_a_subgroup_of_the_parent():
+    s3 = PermGroup.from_generators(4, [Permutation([1, 2, 0, 3]), Permutation([1, 0, 2, 3])])
+    s4 = symmetric(4)
+    with pytest.raises(MembershipError):
+        centralizer(s3, s4)
+    with pytest.raises(MembershipError):
+        centralizer(s3, s4, PermGroup.trivial(4))
+    v4 = subgroup_generated(s4, [Permutation([1, 0, 3, 2]), Permutation([2, 3, 0, 1])])
+    with pytest.raises(MembershipError):
+        centralizer(s4, v4, alternating(4))  # B must lie in A
+
+
 def test_centralizer_of_section(small_corpus):
     for name, g in small_corpus.items():
         if g.order > 60:
@@ -172,7 +197,7 @@ def test_centralizer_of_section(small_corpus):
                     continue
                 a = PermGroup.from_element_set(g.degree, frozenset(map(Permutation, a_set)))
                 b = PermGroup.from_element_set(g.degree, frozenset(map(Permutation, b_set)))
-                got = elem_tuples(centralizer_of_section(g, a, b))
+                got = elem_tuples(centralizer(g, a, b))
                 want = oracles.section_centralizer(g.degree, elems, a_set, b_set)
                 assert got == want, name
 

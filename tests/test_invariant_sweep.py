@@ -117,8 +117,8 @@ def full_sweep_commuting_conjugates(g, a, full):
 
 
 def full_sweep_dichotomy(g, a, pc, full):
-    swept = ((h, m) for h in full for m in maximal_normal_subgroups(a))
-    return next(((h, m) for h, m in swept if _dichotomy_fails(a, pc, h, m)), None)
+    swept = ((h, m) for h in full for m in maximal_normal_subgroups(g, a))
+    return next(((h, m) for h, m in swept if _dichotomy_fails(g, a, pc, h, m)), None)
 
 
 def witness_sets(g, witness, keys):

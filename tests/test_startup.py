@@ -2,8 +2,8 @@
 dataclasses nor inspect, and the value types that were dataclasses keep
 their behaviour as named tuples and slotted classes. Exit through
 jicert.cli.run: a CLI process prints and writes what an in-process main()
-does, ends with main's code, and exits 120 when its output cannot be
-flushed."""
+does, ends with main's code, exits 120 when its output cannot be
+flushed, and exits 2 when it has no standard output at all."""
 
 import json
 import os
@@ -227,6 +227,27 @@ def test_closed_stdout_exits_120():
         os.close(write_end)
     assert proc.returncode == 120
     assert proc.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", str(DATA / "s4_s3_prefix.json")],
+        ["build-wreath", "S3:3", "--depth", "2"],
+        ["lattice", str(DATA / "s4_s3_prefix.json")],
+    ],
+    ids=["check", "build-wreath", "lattice"],
+)
+def test_stdout_closed_at_start_exits_2(argv):
+    # fd 1 is closed before the interpreter starts, so sys.stdout is None
+    proc = subprocess.run(
+        [sys.executable, "-m", "jicert.cli", *argv],
+        env={"PYTHONPATH": str(SRC)},
+        stderr=subprocess.PIPE,
+        text=True,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write standard output\n")
 
 
 def test_console_script_enters_through_run():
