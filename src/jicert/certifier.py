@@ -43,12 +43,15 @@ from .errors import (
 from .group import (
     PermGroup,
     centralizer,
+    commute,
     commutator_subgroup,
     e_p_subgroup,
     is_nilpotent,
     is_prime,
     join,
     normal_closure,
+    normalizes,
+    positions,
     subgroup_generated,
 )
 from .hom import GroupHom
@@ -179,10 +182,9 @@ def _conjugates(g: PermGroup, u: PermGroup) -> Iterator[tuple[frozenset[int], tu
     """
     index = g.element_index()
     rows = [index.conj_row(t) for t in index.gens]
-    pos = index.pos
-    start = frozenset(pos[x] for x in u.elements())
+    start = positions(g, u)
     seen = {start}
-    frontier = [(start, tuple(pos[x] for x in u.generators))]
+    frontier = [(start, tuple(index.pos[x.images] for x in u.generators))]
     while frontier:
         v, gens = frontier.pop()
         for row in rows:
@@ -194,11 +196,6 @@ def _conjugates(g: PermGroup, u: PermGroup) -> Iterator[tuple[frozenset[int], tu
                 yield conjugate
 
 
-def _commute(xs: Sequence[Permutation], ys: Sequence[Permutation]) -> bool:
-    """Whether every x in xs commutes with every y in ys."""
-    return all(x * y == y * x for x in xs for y in ys)
-
-
 def _commuting_family(g: PermGroup, u: PermGroup) -> Optional[PermGroup]:
     """The normal closure of u in g when u is non-normal and its distinct
     conjugates commute elementwise; None otherwise.
@@ -206,17 +203,17 @@ def _commuting_family(g: PermGroup, u: PermGroup) -> Optional[PermGroup]:
     Distinct conjugates u^x and u^y commute exactly when u and u^(y x^-1)
     do, so u is tested against each other conjugate, and the walk stops at
     the first one that does not commute with it. Decided once per stage and
-    subgroup: the answer is kept on g's element index under u's element set,
+    subgroup: the answer is kept on g's element index under u's position set,
     so the sweeps of wilson_ii (one per normal subgroup), commuting_conjugates
     and revalidate_witness share it, and each qualifying subgroup is closed
     once.
     """
     index = g.element_index()
-    key = u.elements()
+    key = positions(g, u)
     if key not in index.commuting_closures:
-        elems = index.elems
+        mine = [x.images for x in u.generators]
         verdicts = (
-            _commute(u.generators, [elems[i] for i in gens]) for _, gens in _conjugates(g, u)
+            commute(mine, [index.elems[i] for i in gens]) for _, gens in _conjugates(g, u)
         )
         # non-normal (a first other conjugate) and commuting with every other one
         qualifies = next(verdicts, False) and all(verdicts)
@@ -266,7 +263,7 @@ def _dichotomy_fails(g: PermGroup, a: PermGroup, pc: PermGroup, h: PermGroup, m:
         not a.is_trivial()
         and not h.is_subgroup_of(m)
         and not pc.is_subgroup_of(h)
-        and all(h.contains(x ** y) for y in a.generators for x in h.generators)
+        and normalizes(a, h)
         and m in maximal_normal_subgroups(g, a)
     )
 
@@ -280,7 +277,7 @@ def _no_central_factor_fails(
         f1.order < n.order
         and f2.order < n.order
         and a.is_subgroup_of(n)
-        and _commute(f1.generators, f2.generators)
+        and commute([x.images for x in f1.generators], [y.images for y in f2.generators])
         and n.is_normal_in(g)
         and join(g, f1, f2) == n
     )
@@ -406,7 +403,10 @@ def check_critical_stage(
 
     p = rho.image(a_next)
     pc = _centralizer_product(g, p)
-    x = next((x for x in pc.sorted_elements() if _centralizer_product_fails(pc, b_n, x)), None)
+    # only the least position of pc outside b_n becomes a permutation
+    elems = g.element_index().elems
+    escapes = (Permutation._raw(elems[i]) for i in sorted(positions(g, pc) - positions(g, b_n)))
+    x = next((x for x in escapes if _centralizer_product_fails(pc, b_n, x)), None)
     if x is None:
         sv.checks[CHECK_CENTRALIZER_PRODUCT] = CheckResult(
             PASS, note=f"image order {p.order}, product order {pc.order}"
@@ -439,14 +439,14 @@ def check_commuting_conjugates_stage(
         )
         return sv
 
-    # a witness u is normal in its normal closure, which contains a; an
-    # element set in several lattices keeps its first generators
-    found: dict[frozenset[Permutation], PermGroup] = {}
+    # a witness u is normal in its normal closure, which contains a; a
+    # position set in several lattices keeps its first generators
+    found: dict[frozenset[int], PermGroup] = {}
     for n in normal_subgroups(g):
         if a.is_subgroup_of(n):
             for u in normal_subgroups(g, n):
-                found.setdefault(u.elements(), u)
-    swept = sorted(found.values(), key=lambda u: (u.order, u.sorted_elements()))
+                found.setdefault(positions(g, u), u)
+    swept = [found[m] for m in sorted(found, key=lambda m: (len(m), sorted(m)))]
     u = next((u for u in swept if _commuting_conjugates_fails(g, a, u)), None)
     if u is None:
         sv.checks[CHECK_COMMUTING_CONJUGATES] = CheckResult(

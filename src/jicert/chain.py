@@ -207,8 +207,8 @@ class StabilizerChain:
         residual, _ = self._sift_from(t, 0)
         return residual == self._identity
 
-    def contains(self, p: Permutation) -> bool:
-        return self.contains_tuple(tuple(p.images))
+    def contains(self, p: Permutation | Sequence[int]) -> bool:
+        return self.contains_tuple(tuple(p.images) if isinstance(p, Permutation) else tuple(p))
 
     def gens_fixing_prefix(self, k: int) -> list[tuple]:
         """Strong generators of the pointwise stabilizer of the first k base points."""

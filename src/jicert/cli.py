@@ -180,6 +180,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     prefix = build_wreath_tower(_parse_specs(args.spec), args.depth)
     text = serialize_system(prefix)
     if args.output:
+        _write_stdout("")  # fails before the file is written when fd 1 is closed
         _write_bytes(args.output, text.encode())
         orders = ", ".join(str(g.order) for g in prefix.groups)
         _write_stdout(f"wrote {args.output}: {len(prefix.groups)} stages, orders {orders}\n")

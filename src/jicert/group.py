@@ -1,23 +1,22 @@
-"""Finite permutation groups: a stabilizer chain, and an element table on demand.
+"""Finite permutation groups: a stabilizer chain, or positions on an element index.
 
-Every group is given by its generators, or by an element set, and carries a
-stabilizer chain that it builds when it first needs one. The chain gives the
-order and membership before any element is listed, so a group may be far past
-any table's reach. The element table is built on first use, from the chain
-with one product per element, and only if the group's order is at most its
-bound; past the bound, elements() raises DenseBoundExceededError before
-enumerating. A group given by its element set alone gets greedy generators,
-each tested for membership on a chain grown one generator at a time.
+Every group is given by its generators, or by its chain, or by its positions
+on an element index, and builds a stabilizer chain only when it needs one.
+The chain gives the order and membership before any element is listed, so a
+group may be far past any table's reach. A group's own element index is
+built on first use, from the chain with one product per element, and only if
+the group's order is at most its bound; past the bound, elements() raises
+DenseBoundExceededError before enumerating.
 
-A group with a table also carries an element index, built on first use and
-kept on the group: its elements sorted by image tuple and each element's
-position. Only the generators' multiplication rows are built with permutation
-products, and the inversion map with one inverse per element; every other
-multiplication or conjugation row is composed from them. Closure under a
-parent that may hold a table works on sets of positions: closures,
-centralizers, conjugacy classes and invariant sweeps all run on the index,
-so a subgroup of a stage builds no index of its own, and no permutation is
-multiplied per element or closure step.
+The index lists the elements once, as image tuples sorted ascending, and
+numbers them. A subgroup of a group whose index exists is the set of its
+positions there: sweeps, closures, centralizers and intersections on the
+index return such groups, and a subgroup generated under a group (or a
+kernel inside it) takes its positions on the group's index the first time it
+is asked after the index exists. Two groups on one index compare, include
+and intersect as sets; permutations are made only for generators, and for
+elements() on demand. A group given by its element set alone is named by its
+greedy generators, the least element outside the span so far each time.
 
 All derived orderings (sorted elements, conjugacy classes, generator
 reduction) are deterministic so that downstream reports are byte-stable.
@@ -26,8 +25,7 @@ reduction) are deterministic so that downstream reports are byte-stable.
 from __future__ import annotations
 
 from collections import deque
-from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .chain import StabilizerChain
 from .errors import (
@@ -37,32 +35,33 @@ from .errors import (
     MembershipError,
     NotNormalError,
 )
-from .perm import Permutation, _compose, comm
+from .perm import Permutation, _compose, _invert, comm
 
 DEFAULT_DENSE_BOUND = 2_000_000
 
 
 class ElementIndex:
-    """The elements of a group's table sorted by image tuple, and their positions.
+    """A group's elements as image tuples sorted ascending, and their positions.
 
     A subgroup is a set of positions. Sorting positions sorts elements by
     image tuple, so sorted position lists order subgroups as their sorted
     element lists do; the identity sorts first, at position 0.
 
     The right row of position j maps each position i to the position of
-    elems[i] * elems[j]. Only the generators' rows are built with
-    permutation products. Every other row is composed along the path of its
-    element in a breadth-first spanning tree over positions, one generator
-    row at a time with perm._compose, since row(a * b)[i] = row(b)[row(a)[i]].
-    A row is kept only for a position used as a generator (of the group or of a
-    closure, or a conjugator), never for a coset representative or a path.
-    The conjugation row of position j maps i to the position of
-    elems[i] ** elems[j]; it is composed from the right row of j and the
-    inversion map, which is built once with one inverse per element. The
-    invariant-subgroup lattices (sweeps) are kept here, keyed by the position
-    set of the swept subgroup (None for the whole group) and the positions of
-    the elements that normalize them; a normal subgroup's normal lattice is
-    the entry of its own generators, the group's among them.
+    elems[i] * elems[j]. Only the generators' rows are built from products,
+    pos[_compose(x, t)] for each x in elems. Every other row is composed
+    along the path of its element in a breadth-first spanning tree over
+    positions, one generator row at a time with perm._compose, since
+    row(a * b)[i] = row(b)[row(a)[i]]. A row is kept only for a position
+    used as a generator (of the group or of a closure, or a conjugator),
+    never for a coset representative or a path. The conjugation row of
+    position j maps i to the position of elems[i] ** elems[j]; it is composed
+    from the right row of j and the inversion map, pos[_invert(x)] for each
+    x, built once. The invariant-subgroup lattices (sweeps) are kept here,
+    keyed by the position set of the swept subgroup (None for the whole
+    group) and the positions of the elements that normalize them; a normal
+    subgroup's normal lattice is the entry of its own generators, the
+    group's among them.
     """
 
     __slots__ = (
@@ -80,19 +79,19 @@ class ElementIndex:
         "_conj",
     )
 
-    def __init__(self, degree: int, elems: tuple[Permutation, ...], gens: Sequence[Permutation]):
+    def __init__(self, degree: int, elems: Sequence[tuple[int, ...]], gens: Sequence[tuple[int, ...]]):
         self.degree = degree
         self.elems = elems
         self.pos = pos = {x: i for i, x in enumerate(elems)}
         self.sweeps: dict[
             tuple[frozenset[int] | None, tuple[int, ...]], tuple[PermGroup, ...]
         ] = {}
-        # element set of a subgroup -> its normal closure if it is non-normal
+        # position set of a subgroup -> its normal closure if it is non-normal
         # with pairwise-commuting conjugates, else None; filled by the certifier
-        self.commuting_closures: dict[frozenset[Permutation], PermGroup | None] = {}
+        self.commuting_closures: dict[frozenset[int], PermGroup | None] = {}
         # positions of the generators
         self.gens = tuple(pos[t] for t in gens)
-        self._gen_rows = [tuple(pos[x * t] for x in elems) for t in gens]
+        self._gen_rows = [tuple(pos[_compose(x, t)] for x in elems) for t in gens]
         identity_row = tuple(range(len(elems)))
         self._right: dict[int, tuple[int, ...]] = {0: identity_row}
         self._right.update(zip(self.gens, self._gen_rows))
@@ -139,7 +138,7 @@ class ElementIndex:
     def _conjugation(self, j: int) -> tuple[int, ...]:
         """The conjugation row of position j, composed afresh and not kept."""
         if self._inv is None:
-            self._inv = tuple(self.pos[x.inverse()] for x in self.elems)
+            self._inv = tuple(self.pos[_invert(x)] for x in self.elems)
         right, inv = self.right_row(j), self._inv
         # x ** t = (x^-1 * t)^-1 * t
         return _compose(right, _compose(inv, _compose(right, inv)))
@@ -168,7 +167,7 @@ class ElementIndex:
         the positions under normalize. Seeds are taken first in, first out;
         one outside the closure so far is kept and its conjugates under each
         of under are queued. The generators returned are gens followed by the
-        kept seeds.
+        kept seeds. With no under, the seeds are closed in their given order.
         """
         conj = [self.conj_row(t) for t in under]
         kept = list(gens)
@@ -207,18 +206,12 @@ class ElementIndex:
         out.sort(key=len)  # stable: equal sizes stay in order of least position
         return out
 
-    def subgroup(self, positions: Iterable[int], gens: Sequence[int]) -> PermGroup:
-        """The group on a closed set of positions, generated by gens, with its table."""
-        elems = self.elems
-        ordered = sorted(positions)
-        sub = PermGroup(
-            degree=self.degree,
-            bound=len(ordered),
-            gens=tuple(elems[j] for j in gens),
-            elements=frozenset(elems[i] for i in ordered),
-        )
-        sub._sorted = tuple(elems[i] for i in ordered)
-        return sub
+    def subgroup(self, positions: frozenset[int], gens: Optional[Sequence[int]] = None) -> PermGroup:
+        """The group on a closed set of positions, generated by the elements at
+        gens, or by its greedy generators when gens is None."""
+        if gens is not None:
+            gens = tuple(Permutation._raw(self.elems[j]) for j in gens)
+        return PermGroup(degree=self.degree, bound=len(positions), gens=gens, host=self, span=positions)
 
     def subgroups(self, found: Mapping[frozenset[int], Sequence[int]]) -> tuple[PermGroup, ...]:
         """The groups on found's closed position sets, generated as found says,
@@ -251,27 +244,33 @@ class PermGroup:
 
     Instances are immutable, unhashable handles. Groups of the same degree
     compare equal when they contain each other's generators. An element
-    table may be built when the order is at most bound.
+    index may be built when the order is at most bound.
+
+    _gens None stands for the greedy generators of the element set. _span
+    holds the positions on _host, the index of a larger group, or on the index
+    of _root once that exists; _index is the group's own index.
     """
 
     __slots__ = (
         "degree",
         "bound",
         "_gens",
-        "_elements",
-        "_sorted",
         "_chain",
         "_order",
         "_index",
+        "_root",
+        "_host",
+        "_span",
     )
 
-    def __init__(self, *, degree: int, bound: int, gens=None, elements=None, chain=None):
+    def __init__(self, *, degree: int, bound: int, gens=None, chain=None, root=None, host=None, span=None):
         self.degree = degree
         self.bound = bound
         self._gens = gens
-        self._elements = elements
         self._chain = chain
-        self._sorted = None
+        self._root = root
+        self._host = host
+        self._span = span
         self._order = None
         self._index = None
 
@@ -288,24 +287,26 @@ class PermGroup:
 
     @staticmethod
     def trivial(degree: int) -> PermGroup:
-        return PermGroup(
-            degree=degree,
-            bound=1,
-            gens=(),
-            elements=frozenset({Permutation.identity(degree)}),
-        )
+        return PermGroup(degree=degree, bound=1, gens=())
 
     @staticmethod
     def from_element_set(degree: int, elements: frozenset[Permutation]) -> PermGroup:
-        """Wrap a set the caller guarantees to be closed under the operation."""
-        return PermGroup(degree=degree, bound=len(elements), elements=frozenset(elements))
+        """Wrap a set the caller guarantees to be closed under the operation,
+        as its greedy generators and the chain they grow."""
+        gens, chain = _greedy_generators(degree, [x.images for x in elements], len(elements))
+        return PermGroup(degree=degree, bound=len(elements), gens=gens, chain=chain)
 
     # -- basic queries ------------------------------------------------------
 
     @property
     def generators(self) -> tuple[Permutation, ...]:
         if self._gens is None:
-            self._gens = _elements_to_generators(self.degree, self._elements)
+            host = self._hosted()
+            if host is not None:
+                _, kept = host.normal_closure(sorted(self._span), ())
+                self._gens = tuple(Permutation._raw(host.elems[j]) for j in kept)
+            else:
+                self._gens, _ = _greedy_generators(self.degree, self._chain.elements(), self.order)
         return self._gens
 
     def _stab_chain(self) -> StabilizerChain:
@@ -313,80 +314,142 @@ class PermGroup:
             self._chain = StabilizerChain(self.degree, self.generators)
         return self._chain
 
+    def _hosted(self) -> Optional[ElementIndex]:
+        """The index self is a position set on, if one exists yet; the positions
+        are read off self's chain, or closed from its generators, on the first
+        call that finds it."""
+        if self._span is None:
+            host = self._host
+            if host is None and self._root is not None:
+                host = self._root._index or self._root._hosted()
+            if host is None:
+                return None
+            if self._chain is not None:
+                self._span = frozenset(map(host.pos.__getitem__, self._chain.elements()))
+            else:
+                self._span, _ = host.normal_closure([host.pos[g.images] for g in self._gens], ())
+            self._host, self._root = host, None
+        return self._host
+
     @property
     def order(self) -> int:
         if self._order is None:
-            if self._elements is not None:
-                self._order = len(self._elements)
+            if self._index is not None:
+                self._order = len(self._index.elems)
+            elif self._hosted() is not None:
+                self._order = len(self._span)
             else:
                 self._order = self._stab_chain().order()
         return self._order
 
     @property
     def may_hold_table(self) -> bool:
-        """Whether an element table may be built: the order is at most bound."""
+        """Whether an element index may be built: the order is at most bound."""
         return self.order <= self.bound
 
     @property
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
+    def _element_tuples(self) -> Sequence[tuple[int, ...]]:
+        """The elements' image tuples, ascending; DenseBoundExceededError past
+        the bound."""
+        if self._index is not None:
+            return self._index.elems
+        host = self._hosted()
+        if host is not None:
+            return [host.elems[i] for i in sorted(self._span)]
+        if not self.may_hold_table:
+            raise DenseBoundExceededError(self.order, self.bound)
+        return sorted(self._stab_chain().elements())
+
     def elements(self) -> frozenset[Permutation]:
-        """The element table, built on first use if the order is at most bound."""
-        if self._elements is None:
-            if not self.may_hold_table:
-                raise DenseBoundExceededError(self.order, self.bound)
-            self._elements = frozenset(map(Permutation._raw, self._stab_chain().elements()))
-        return self._elements
+        """The elements, made afresh, if the order is at most bound."""
+        return frozenset(map(Permutation._raw, self._element_tuples()))
 
     def sorted_elements(self) -> tuple[Permutation, ...]:
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self.elements(), key=attrgetter("images")))
-        return self._sorted
+        return tuple(map(Permutation._raw, self._element_tuples()))
 
     def element_index(self) -> ElementIndex:
         """The element index, built on first use."""
         if self._index is None:
-            self._index = ElementIndex(self.degree, self.sorted_elements(), self.generators)
+            gens = [g.images for g in self.generators]
+            self._index = ElementIndex(self.degree, self._element_tuples(), gens)
         return self._index
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise DegreeMismatchError(f"degree {p.degree} element vs degree {self.degree} group")
-        if self._elements is not None:
-            return p in self._elements
-        return self._stab_chain().contains(p)
+        return self._holds(p.images)
+
+    def _holds(self, t: tuple[int, ...]) -> bool:
+        """Membership of an image tuple of the group's degree: on an index if
+        self is on one, else by sifting through the chain."""
+        if self._index is not None:
+            return t in self._index.pos
+        host = self._hosted()
+        if host is not None:
+            return host.pos.get(t) in self._span
+        return self._stab_chain().contains(t)
 
     def is_trivial(self) -> bool:
         return self.order == 1
 
     def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1 :])
+        gens = [g.images for g in self.generators]
+        return commute(gens, gens)
 
     def is_subgroup_of(self, other: PermGroup) -> bool:
         if self.degree != other.degree:
             raise DegreeMismatchError("subgroup test across degrees")
+        if _shared_index(self, other):
+            return self._span <= other._span
         return all(other.contains(g) for g in self.generators)
 
     def is_normal_in(self, other: PermGroup) -> bool:
-        if not self.is_subgroup_of(other):
-            return False
-        return all(
-            self.contains(s ** g) for s in self.generators for g in other.generators
-        )
+        return self.is_subgroup_of(other) and normalizes(other, self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PermGroup):
             return NotImplemented
         if self.degree != other.degree or self.order != other.order:
             return False
-        if self._elements is not None and other._elements is not None:
-            return self._elements == other._elements
+        if _shared_index(self, other):
+            return self._span == other._span
         return self.is_subgroup_of(other) and other.is_subgroup_of(self)
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order}, bound={self.bound})"
+
+
+def _shared_index(a: PermGroup, b: PermGroup) -> Optional[ElementIndex]:
+    """The index a and b are both position sets on (each in its _span), if
+    any. A group is no position set on its own index, where membership is a
+    lookup already."""
+    index = a._hosted()
+    return index if index is not None and index is b._hosted() else None
+
+
+def positions(g: PermGroup, sub: PermGroup) -> frozenset[int]:
+    """The positions of sub, a subgroup of g, on g's element index."""
+    index = g.element_index()
+    if sub._hosted() is index:
+        return sub._span
+    return frozenset(map(index.pos.__getitem__, sub._element_tuples()))
+
+
+def normalizes(a: PermGroup, h: PermGroup) -> bool:
+    """Whether the generators of a normalize h, conjugated as image tuples."""
+    return all(
+        h._holds(_compose(_invert(y.images), _compose(x.images, y.images)))
+        for y in a.generators
+        for x in h.generators
+    )
+
+
+def commute(xs: Iterable[tuple[int, ...]], ys: Sequence[tuple[int, ...]]) -> bool:
+    """Whether every image tuple in xs commutes with every one in ys."""
+    return all(_compose(x, y) == _compose(y, x) for x in xs for y in ys)
 
 
 def _normalize_gens(degree: int, generators: Iterable[Permutation]) -> tuple[Permutation, ...]:
@@ -399,31 +462,41 @@ def _normalize_gens(degree: int, generators: Iterable[Permutation]) -> tuple[Per
     return tuple(out)
 
 
-def _elements_to_generators(degree: int, elements: frozenset[Permutation]) -> tuple[Permutation, ...]:
-    """Deterministic small generating set for a known closed element set."""
-    order = len(elements)
-    if order == 1:
-        return ()
+def _greedy_generators(
+    degree: int, elements: Iterable[tuple[int, ...]], order: int
+) -> tuple[tuple[Permutation, ...], StabilizerChain]:
+    """The greedy generators of a closed set of image tuples, and the chain
+    they grow: the least tuple the chain so far does not hold, each time."""
     gens: list[Permutation] = []
     chain = StabilizerChain(degree, ())
     for x in sorted(elements):
         if chain.order() == order:
             break
-        if chain.contains(x):
-            continue
-        gens.append(x)
-        chain.add(x)
-    return tuple(gens)
+        if not chain.contains_tuple(x):
+            gens.append(Permutation._raw(x))
+            chain.add(x)
+    return tuple(gens), chain
+
+
+def greedily_named(sub: PermGroup) -> PermGroup:
+    """sub's element set under its greedy generators, where sub is."""
+    host = sub._hosted()
+    if host is not None:
+        return host.subgroup(sub._span)
+    return PermGroup(degree=sub.degree, bound=sub.bound, chain=sub._stab_chain(), root=sub._root)
 
 
 def subgroup_generated(parent: PermGroup, elems: Iterable[Permutation]) -> PermGroup:
-    """Subgroup of parent generated by elems; it may hold a table when parent may."""
+    """Subgroup of parent generated by elems. When parent may hold a table
+    the subgroup may too, and it takes its positions on parent's index (or
+    its host's) once that index exists."""
     gens = _normalize_gens(parent.degree, elems)
     for g in gens:
         if not parent.contains(g):
             raise MembershipError(f"{g!r} is not in the parent group")
-    bound = parent.order if parent.may_hold_table else 0
-    return PermGroup(degree=parent.degree, bound=bound, gens=gens)
+    if not parent.may_hold_table:
+        return PermGroup(degree=parent.degree, bound=0, gens=gens)
+    return PermGroup(degree=parent.degree, bound=parent.order, gens=gens, root=parent)
 
 
 def normal_closure(parent: PermGroup, sub) -> PermGroup:
@@ -460,7 +533,7 @@ def _index_closure(
     """The normal closure of the seeds in <under>, on parent's element index."""
     index = parent.element_index()
     pos = index.pos
-    have, kept = index.normal_closure([pos[s] for s in seeds], [pos[t] for t in under])
+    have, kept = index.normal_closure([pos[s.images] for s in seeds], [pos[t.images] for t in under])
     return index.subgroup(have, kept)
 
 
@@ -469,13 +542,21 @@ def join(parent: PermGroup, a: PermGroup, b: PermGroup) -> PermGroup:
 
 
 def intersection(a: PermGroup, b: PermGroup) -> PermGroup:
+    """A n B under its greedy generators: on a and b's common index, or on
+    the own index of the one that holds the other, else from element sets."""
     if a.degree != b.degree:
         raise DegreeMismatchError("intersection across degrees")
+    index = _shared_index(a, b)
+    if index is not None:
+        return index.subgroup(a._span & b._span)
+    for x, y in ((a, b), (b, a)):
+        if x._index is not None and y._hosted() is x._index:  # y lies in x
+            return x._index.subgroup(y._span)
     return PermGroup.from_element_set(a.degree, a.elements() & b.elements())
 
 
 def product_order(a: PermGroup, b: PermGroup) -> int:
-    """|AB| for subgroups of a common group, read off their element tables."""
+    """|AB| for subgroups of a common group, read off their intersection."""
     return a.order * b.order // intersection(a, b).order
 
 
@@ -511,7 +592,7 @@ def centralizer(parent: PermGroup, a: PermGroup, b: PermGroup | None = None) -> 
     reaches from B through the group's generator rows.
     """
     index = parent.element_index()
-    movers = [index.pos.get(x) for x in a.generators]
+    movers = [index.pos.get(x.images) for x in a.generators]
     if None in movers:
         raise MembershipError("A is not a subgroup of the parent group")
     label: Sequence[int] = range(len(index.elems))
@@ -520,7 +601,7 @@ def centralizer(parent: PermGroup, a: PermGroup, b: PermGroup | None = None) -> 
             raise MembershipError("B must be contained in A")
         if not (a.is_normal_in(parent) and b.is_normal_in(parent)):
             raise NotNormalError("section centralizer needs normal A and B")
-        start = tuple(sorted(map(index.pos.__getitem__, b.elements())))
+        start = tuple(sorted(positions(parent, b)))
         label = [0] * len(index.elems)
         rows = [index.right_row(t) for t in index.gens]
         for k, coset in enumerate(_push_cosets(start, rows, set(start))):
@@ -530,7 +611,7 @@ def centralizer(parent: PermGroup, a: PermGroup, b: PermGroup | None = None) -> 
     for j in movers:
         row = index._conjugation(j)  # not kept: a row per centralized generator would pile up
         hits = [i for i in hits if label[row[i]] == label[i]]
-    return PermGroup.from_element_set(parent.degree, frozenset(map(index.elems.__getitem__, hits)))
+    return index.subgroup(frozenset(hits))
 
 
 def center(g: PermGroup) -> PermGroup:
@@ -581,9 +662,10 @@ def is_prime(n: int) -> bool:
 def conjugacy_classes(g: PermGroup) -> tuple[tuple[Permutation, frozenset[Permutation]], ...]:
     """Classes as (least member, element set), sorted by (size, least member), off the index."""
     index = g.element_index()
+    perm = Permutation._raw
     elems = index.elems
     return tuple(
-        (elems[orbit[0]], frozenset(elems[k] for k in orbit))
+        (perm(elems[orbit[0]]), frozenset(perm(elems[k]) for k in orbit))
         for orbit in index.orbits(range(len(elems)), index.gens)
     )
 

@@ -19,9 +19,9 @@ source points, is the kernel's chain. The kernel order is checked against
 
 Kernels and preimages reach report witnesses through their generator lists.
 Under a source that may hold an element table they are named by the greedy
-generators of their element sets (PermGroup.from_element_set), so the bytes do
-not depend on the chain; under any other source they keep the chain's
-generators.
+generators of their element sets (group.greedily_named), so the bytes do not
+depend on the chain, and they are position sets on the source's element index
+once it exists; under any other source they keep the chain's generators.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     KernelBugError,
     MembershipError,
 )
-from .group import PermGroup, subgroup_generated
+from .group import PermGroup, greedily_named, subgroup_generated
 from .perm import Permutation
 
 
@@ -144,13 +144,14 @@ class GroupHom:
         return [Permutation._raw(t[:ds]) for t in self._target_first().gens_fixing_prefix(dt)]
 
     def kernel(self) -> PermGroup:
-        """The kernel, under the source's bound."""
+        """The kernel, under the source's bound: its chain, with greedy
+        generators and a place on the source's index if the source may hold
+        a table."""
         src = self.source
         ds, dt = src.degree, self.target.degree
         chain = self._target_first().cut(dt, ds)
         if src.may_hold_table:
-            elements = frozenset(map(Permutation._raw, chain.elements()))
-            ker = PermGroup.from_element_set(ds, elements)
+            ker = PermGroup(degree=ds, bound=src.bound, chain=chain, root=src)
         else:
             gens = tuple(self._kernel_gens())
             ker = PermGroup(degree=ds, bound=src.bound, gens=gens, chain=chain)
@@ -159,9 +160,9 @@ class GroupHom:
         return ker
 
     def preimage(self, sub: PermGroup) -> PermGroup:
-        """Full preimage of sub, which must lie inside the image: by its element
-        set under a source that may hold a table, else by generators alone,
-        and then it may hold no table."""
+        """Full preimage of sub, which must lie inside the image: under its
+        greedy generators under a source that may hold a table, else by
+        generators alone, and then it may hold no table."""
         ds, dt = self.source.degree, self.target.degree
         if sub.degree != dt:
             raise DegreeMismatchError("preimage argument has the wrong degree")
@@ -171,6 +172,5 @@ class GroupHom:
             lifted = chain.lift_points({ds + j: ds + k.images[j] for j in range(dt)}, dt)
             gens.append(Permutation._raw(lifted[:ds]))
         if self.source.may_hold_table:
-            pre = subgroup_generated(self.source, gens)
-            return PermGroup.from_element_set(ds, pre.elements())
+            return greedily_named(subgroup_generated(self.source, gens))
         return PermGroup.from_generators(ds, gens, dense_bound=0)

@@ -21,7 +21,10 @@ from .group import (
     center,
     centralizer,
     e_p_subgroup,
+    commute,
+    greedily_named,
     intersection,
+    positions,
     product_order,
     subgroup_generated,
 )
@@ -58,10 +61,9 @@ def invariant_subgroups(
     lattice is kept there under n's position set and under's positions.
     """
     index = g.element_index()
-    pos = index.pos
-    movers = tuple(pos[t] for t in under)
+    movers = tuple(index.pos[t.images] for t in under)
     whole = n is None or n.order == g.order
-    span = None if whole else frozenset(map(pos.__getitem__, n.elements()))
+    span = None if whole else positions(g, n)
     key = (span, movers)
     if key not in index.sweeps:
         orbits = index.orbits(range(len(index.elems)) if whole else sorted(span), movers)
@@ -308,7 +310,7 @@ def _abelian_split(g: PermGroup) -> Optional[list[PermGroup]]:
     w1 = subgroup_generated(g, [*phi.generators, *basis[:-1]])
     w2 = subgroup_generated(g, [*phi.generators, *basis[1:]])
     # named by the greedy generators of their element sets, however they were closed
-    return [PermGroup.from_element_set(g.degree, w.elements()) for w in (w1, w2)]
+    return [greedily_named(w) for w in (w1, w2)]
 
 
 def _central_factor_scan(g: PermGroup, n: PermGroup) -> Optional[list[PermGroup]]:
@@ -343,8 +345,8 @@ def central_decomposition(g: PermGroup, n: Optional[PermGroup] = None) -> Option
         h, k = found
         if not (_proper_in(h, top) and _proper_in(k, top)):
             raise KernelBugError("central factor is not proper")
-        if product_order(h, k) != top.order or not all(
-            x * y == y * x for x in h.generators for y in k.generators
+        if product_order(h, k) != top.order or not commute(
+            [x.images for x in h.generators], [y.images for y in k.generators]
         ):
             raise KernelBugError("central factors do not decompose the group")
     return found

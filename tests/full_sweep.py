@@ -13,7 +13,8 @@ subgroup H by all such x outside it reaches everything.
 
 from operator import itemgetter
 
-from jicert.group import ElementIndex, PermGroup, _push_cosets
+from jicert.group import ElementIndex, PermGroup, _push_cosets, positions
+from jicert.perm import Permutation
 from jicert.simples import prime_power_base
 
 
@@ -39,7 +40,7 @@ def all_subgroups(g: PermGroup, n: PermGroup | None = None) -> tuple[PermGroup, 
     nothing is kept: each call sweeps again.
     """
     index = g.element_index()
-    span = frozenset(map(index.pos.__getitem__, index.elems if n is None else n.elements()))
+    span = frozenset(range(len(index.elems))) if n is None else positions(g, n)
     found: dict[frozenset[int], tuple[int, ...]] = {frozenset([0]): ()}
     frontier = list(found)
     cyclic = cyclic_generators(index, span)
@@ -70,7 +71,7 @@ def cyclic_generators(index: ElementIndex, span: frozenset[int]) -> list[int]:
     for j in sorted(span):
         if j in skip:
             continue
-        n = index.elems[j].order()
+        n = Permutation._raw(index.elems[j]).order()
         p = prime_power_base(n)
         if not p:
             continue

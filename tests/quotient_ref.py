@@ -18,6 +18,7 @@ from collections import deque
 from jicert.errors import DenseBoundExceededError, KernelBugError, NotNormalError
 from jicert.group import (
     DEFAULT_DENSE_BOUND,
+    ElementIndex,
     PermGroup,
     _normalize_gens,
     direct_product,
@@ -87,9 +88,9 @@ def quotient(g: PermGroup, n: PermGroup) -> tuple[PermGroup, GroupHom]:
     lam = [Permutation.identity(index)]
     for c in range(1, len(up)):
         lam.append(lam[up[c]] * gen_images[via[c]])
-    q = PermGroup(
-        degree=index, bound=index, gens=_normalize_gens(index, gen_images), elements=frozenset(lam)
-    )
+    q = PermGroup(degree=index, bound=index, gens=_normalize_gens(index, gen_images))
+    # the regular action's table is lam, so q needs no chain of its own
+    q._index = ElementIndex(index, sorted({x.images for x in lam}), [x.images for x in q.generators])
     if q.order != index:
         raise KernelBugError("regular coset action has the wrong order")
     proj = GroupHom(g, q, gen_images)

@@ -114,12 +114,12 @@ def test_cover_double_coset_matches_brute_force(small_corpus):
         index = g.element_index()
         pos = index.pos
         for sub in all_subgroups(g):
-            h = frozenset(pos[x] for x in sub.elements())
-            gens = [pos[x] for x in sub.generators]
-            for j, x in enumerate(index.elems):
+            h = frozenset(pos[x.images] for x in sub.elements())
+            gens = [pos[x.images] for x in sub.generators]
+            for j, x in enumerate(g.sorted_elements()):
                 covered = set(h)
                 cover_double_coset(index, h, gens, j, covered)
-                want = h | {pos[a * x * b] for a in sub.elements() for b in sub.elements()}
+                want = h | {pos[(a * x * b).images] for a in sub.elements() for b in sub.elements()}
                 assert covered == want, (name, sub.generators, x)
                 checked += 1
     assert checked > 1000

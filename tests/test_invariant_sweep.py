@@ -209,7 +209,7 @@ def class_seed_lattice(g):
     last in, first out. Returns (element set, generators) pairs, sorted by
     order and then by sorted element list."""
     index = g.element_index()
-    reps = [index.pos[rep] for rep, _cls in reference_conjugacy_classes(g)]
+    reps = [index.pos[rep.images] for rep, _cls in reference_conjugacy_classes(g)]
     found = {frozenset([0]): ()}
     frontier = list(found)
     while frontier:

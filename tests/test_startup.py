@@ -235,19 +235,24 @@ def test_closed_stdout_exits_120():
         ["check", str(DATA / "s4_s3_prefix.json")],
         ["build-wreath", "S3:3", "--depth", "2"],
         ["lattice", str(DATA / "s4_s3_prefix.json")],
+        ["build-wreath", "S3:3", "--depth", "2", "-o", "OUT"],
+        ["check", str(DATA / "s4_s3_prefix.json"), "--json", "OUT"],
     ],
-    ids=["check", "build-wreath", "lattice"],
+    ids=["check", "build-wreath", "lattice", "build-wreath-o", "check-json"],
 )
-def test_stdout_closed_at_start_exits_2(argv):
-    # fd 1 is closed before the interpreter starts, so sys.stdout is None
+def test_stdout_closed_at_start_exits_2(argv, tmp_path):
+    # fd 1 is closed before the interpreter starts, so sys.stdout is None;
+    # the run stops before it writes any output file
+    out = tmp_path / "out.json"
     proc = subprocess.run(
-        [sys.executable, "-m", "jicert.cli", *argv],
+        [sys.executable, "-m", "jicert.cli", *[str(out) if a == "OUT" else a for a in argv]],
         env={"PYTHONPATH": str(SRC)},
         stderr=subprocess.PIPE,
         text=True,
         preexec_fn=lambda: os.close(1),
     )
     assert (proc.returncode, proc.stderr) == (2, "error: cannot write standard output\n")
+    assert not out.exists()
 
 
 def test_console_script_enters_through_run():
