@@ -439,14 +439,10 @@ def check_commuting_conjugates_stage(
         )
         return sv
 
-    # a witness u is normal in its normal closure, which contains a; a
-    # position set in several lattices keeps its first generators
-    found: dict[frozenset[int], PermGroup] = {}
-    for n in normal_subgroups(g):
-        if a.is_subgroup_of(n):
-            for u in normal_subgroups(g, n):
-                found.setdefault(positions(g, u), u)
-    swept = [found[m] for m in sorted(found, key=lambda m: (len(m), sorted(m)))]
+    # a witness u is normal in its normal closure, which contains a
+    above = [n for n in normal_subgroups(g) if a.is_subgroup_of(n)]
+    spans = {positions(g, u) for n in above for u in normal_subgroups(g, n)}
+    swept = g.element_index().subgroups(spans)
     u = next((u for u in swept if _commuting_conjugates_fails(g, a, u)), None)
     if u is None:
         sv.checks[CHECK_COMMUTING_CONJUGATES] = CheckResult(

@@ -15,8 +15,9 @@ index return such groups, and a subgroup generated under a group (or a
 kernel inside it) takes its positions on the group's index the first time it
 is asked after the index exists. Two groups on one index compare, include
 and intersect as sets; permutations are made only for generators, and for
-elements() on demand. A group given by its element set alone is named by its
-greedy generators, the least element outside the span so far each time.
+elements() on demand. A group made on an index, or given by its element set
+alone, is named by its greedy generators, the least element outside the span
+so far each time, so its name does not depend on how it was found.
 
 All derived orderings (sorted elements, conjugacy classes, generator
 reduction) are deterministic so that downstream reports are byte-stable.
@@ -25,7 +26,7 @@ reduction) are deterministic so that downstream reports are byte-stable.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .chain import StabilizerChain
 from .errors import (
@@ -57,11 +58,11 @@ class ElementIndex:
     never for a coset representative or a path. The conjugation row of
     position j maps i to the position of elems[i] ** elems[j]; it is composed
     from the right row of j and the inversion map, pos[_invert(x)] for each
-    x, built once. The invariant-subgroup lattices (sweeps) are kept here,
-    keyed by the position set of the swept subgroup (None for the whole
-    group) and the positions of the elements that normalize them; a normal
-    subgroup's normal lattice is the entry of its own generators, the
-    group's among them.
+    x, built once. Every group made here is named by its greedy generators,
+    the least position outside the span so far each time, so its name rests
+    on its position set alone. The invariant-subgroup lattices (sweeps) are
+    kept here, keyed by the position set of the swept subgroup and that of
+    the group normalizing it, so one lattice serves every generator list.
     """
 
     __slots__ = (
@@ -83,8 +84,10 @@ class ElementIndex:
         self.degree = degree
         self.elems = elems
         self.pos = pos = {x: i for i, x in enumerate(elems)}
+        # (swept position set, normalizing position set) -> lattice; None
+        # stands for the whole group
         self.sweeps: dict[
-            tuple[frozenset[int] | None, tuple[int, ...]], tuple[PermGroup, ...]
+            tuple[frozenset[int] | None, frozenset[int] | None], tuple[PermGroup, ...]
         ] = {}
         # position set of a subgroup -> its normal closure if it is non-normal
         # with pairwise-commuting conjugates, else None; filled by the certifier
@@ -206,19 +209,14 @@ class ElementIndex:
         out.sort(key=len)  # stable: equal sizes stay in order of least position
         return out
 
-    def subgroup(self, positions: frozenset[int], gens: Optional[Sequence[int]] = None) -> PermGroup:
-        """The group on a closed set of positions, generated by the elements at
-        gens, or by its greedy generators when gens is None."""
-        if gens is not None:
-            gens = tuple(Permutation._raw(self.elems[j]) for j in gens)
-        return PermGroup(degree=self.degree, bound=len(positions), gens=gens, host=self, span=positions)
+    def subgroup(self, positions: frozenset[int]) -> PermGroup:
+        """The group on a closed set of positions, under its greedy generators."""
+        return PermGroup(degree=self.degree, bound=len(positions), host=self, span=positions)
 
-    def subgroups(self, found: Mapping[frozenset[int], Sequence[int]]) -> tuple[PermGroup, ...]:
-        """The groups on found's closed position sets, generated as found says,
-        sorted by order and then by sorted element list."""
-        return tuple(
-            self.subgroup(m, found[m]) for m in sorted(found, key=lambda m: (len(m), sorted(m)))
-        )
+    def subgroups(self, found: Iterable[frozenset[int]]) -> tuple[PermGroup, ...]:
+        """The groups on closed position sets, sorted by order and then by
+        sorted element list."""
+        return tuple(map(self.subgroup, sorted(found, key=lambda m: (len(m), sorted(m)))))
 
 
 def _push_cosets(start: tuple, rows: Sequence[tuple], have: set[int]) -> list[tuple]:
@@ -533,8 +531,8 @@ def _index_closure(
     """The normal closure of the seeds in <under>, on parent's element index."""
     index = parent.element_index()
     pos = index.pos
-    have, kept = index.normal_closure([pos[s.images] for s in seeds], [pos[t.images] for t in under])
-    return index.subgroup(have, kept)
+    have, _ = index.normal_closure([pos[s.images] for s in seeds], [pos[t.images] for t in under])
+    return index.subgroup(have)
 
 
 def join(parent: PermGroup, a: PermGroup, b: PermGroup) -> PermGroup:

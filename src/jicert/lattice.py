@@ -3,12 +3,13 @@
 Inputs must be groups whose order is at most their table bound (composition
 factors of p-groups excepted); past it, DenseBoundExceededError is raised.
 One engine, invariant_subgroups, lists the subgroups normalized by given
-elements: the normal lattice is its case of the group's own generators, and
-the certifier's sweeps are its case of a normal subgroup's generators (the
-normal lattice of that subgroup) or of a mark's. No function here lists all
-subgroups. Subgroup lists are sorted by order and then by sorted element
-list, so every search is deterministic; lattices are kept on each group's
-element index.
+elements: the normal lattice of a subgroup n is its case of n's generators,
+the group's own among them, and the certifier's dichotomy sweep its case of a
+mark's. No function here lists all subgroups. Every subgroup found on an
+element index is named by its greedy generators, and subgroup lists are
+sorted by order and then by sorted element list, so results rest on element
+sets alone, not on search order; lattices are kept on the element index of
+the group they are swept in, one per swept set and normalizing group.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from .group import (
     centralizer,
     e_p_subgroup,
     commute,
-    greedily_named,
     intersection,
     positions,
     product_order,
-    subgroup_generated,
 )
 from .perm import Permutation
 from .simples import SimpleTypeId, prime_power_base, section_type
@@ -55,19 +54,24 @@ def invariant_subgroups(
     each seed reaches every such subgroup from the trivial one. That closure
     is the same for x and for any conjugate of x under A, so the seeds are
     the heads of the orbits of n's positions under conjugation by under (see
-    ElementIndex.orbits). Found subgroups are closed last in, first out;
-    each keeps the generators of its first discovery, H's generators
-    followed by the kept seeds. The search runs on g's element index, and the
-    lattice is kept there under n's position set and under's positions.
+    ElementIndex.orbits). The search runs on g's element index, and each
+    found subgroup is named by its greedy generators, so neither the order of
+    the seeds nor the generators in under reach the result. The lattice is
+    kept there under n's position set and that of the group under generates
+    (None for the whole group), so equal groups share it.
     """
     index = g.element_index()
     movers = tuple(index.pos[t.images] for t in under)
-    whole = n is None or n.order == g.order
-    span = None if whole else positions(g, n)
-    key = (span, movers)
+    span = None if n is None else positions(g, n)
+    # the index's own generators span the whole group, so their closure, a
+    # transient set of the group's order, is skipped
+    acting = None if movers == index.gens else index.normal_closure(movers, ())[0]
+    # None stands for the whole group
+    key = tuple(None if m is None or len(m) == len(index.elems) else m for m in (span, acting))
     if key not in index.sweeps:
-        orbits = index.orbits(range(len(index.elems)) if whole else sorted(span), movers)
+        orbits = index.orbits(range(len(index.elems)) if key[0] is None else sorted(span), movers)
         seeds = [orbit[0] for orbit in orbits]
+        # each found subgroup's generators, which Dimino's extend needs
         found: dict[frozenset[int], tuple[int, ...]] = {frozenset([0]): ()}
         frontier = list(found)
         while frontier:
@@ -85,19 +89,14 @@ def invariant_subgroups(
 
 def normal_subgroups(g: PermGroup, n: Optional[PermGroup] = None) -> tuple[PermGroup, ...]:
     """All normal subgroups of n (default g), sorted by order and then by
-    sorted element list; n must be a subgroup of g.
+    sorted element list, under their greedy generators; n must be a
+    subgroup of g.
 
     A subgroup is normal iff n's generators normalize it, so this is the
-    invariant sweep under them, on g's index; n = g (with any generators)
-    is swept under g's own generators, so it shares g's lattice. Their
-    orbits are the conjugacy classes, in the order of conjugacy_classes,
-    and each found subgroup keeps the generators of its first discovery:
-    N's generators followed by the kept class representatives and their
-    conjugates.
+    invariant sweep under them, on g's index. The lattice is kept under n's
+    element set, so every group equal to n, g among them, shares it.
     """
-    if n is None or n.order == g.order:
-        return invariant_subgroups(g, g.generators)
-    return invariant_subgroups(g, n.generators, n)
+    return invariant_subgroups(g, (g if n is None else n).generators, n)
 
 
 def minimal_normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
@@ -115,12 +114,12 @@ def minimal_normal_subgroups(g: PermGroup) -> tuple[PermGroup, ...]:
 
 def maximal_normal_subgroups(g: PermGroup, n: Optional[PermGroup] = None) -> tuple[PermGroup, ...]:
     """Maximal elements among the proper normal subgroups of n (default g), a
-    normal subgroup of g (trivial counts when n is simple). n's lattice is
-    swept on g's index under n's own generators, as n sweeps it as a group."""
+    normal subgroup of g (trivial counts when n is simple). n's normal
+    lattice is swept on g's index."""
     top = g if n is None else n
     if top.is_trivial():
         raise ValueError("the trivial group has no proper normal subgroup")
-    proper = [m for m in invariant_subgroups(g, top.generators, top) if _proper_in(m, top)]
+    proper = [m for m in normal_subgroups(g, n) if _proper_in(m, top)]
     return tuple(
         m
         for m in proper
@@ -198,16 +197,18 @@ def critical_pairs(g: PermGroup) -> tuple[CriticalPair, ...]:
     """All critical pairs of g, ascending in the top subgroup.
 
     For each nontrivial normal A the only possible partner is the join B of
-    all normal subgroups properly inside A; the pair exists iff B < A.
+    all normal subgroups properly inside A; the pair exists iff B < A. B is
+    closed from the union of their position sets on g's index, and named by
+    its greedy generators.
     """
+    index = g.element_index()
     normals = normal_subgroups(g)
     out = []
     for a in normals:
         if a.is_trivial():
             continue
-        inside = [n for n in normals if _proper_in(n, a) and n.is_subgroup_of(a)]
-        gens = [p for n in inside for p in n.generators]
-        b = subgroup_generated(g, gens)
+        inside = [positions(g, n) for n in normals if _proper_in(n, a) and n.is_subgroup_of(a)]
+        b = index.subgroup(index.normal_closure(sorted(frozenset().union(*inside)), ())[0])
         if b.order < a.order:
             out.append(CriticalPair(a, b))
     return tuple(out)
@@ -279,38 +280,36 @@ def composition_factors(g: PermGroup) -> dict[str, int]:
 # -- central decompositions --------------------------------------------------
 
 
-def _abelian_split(g: PermGroup) -> Optional[list[PermGroup]]:
-    if g.is_trivial():
+def _abelian_split(g: PermGroup, n: PermGroup) -> Optional[list[PermGroup]]:
+    """Two proper subgroups that generate n, an abelian subgroup of g, as
+    position sets on g's index under their greedy generators; None when n is
+    trivial or cyclic of prime power order."""
+    if n.is_trivial():
         return None
-    p = prime_power_base(g.order)
+    index = g.element_index()
+    span = sorted(positions(g, n))
+    order = {i: Permutation._raw(index.elems[i]).order() for i in span}
+    p = prime_power_base(n.order)
     if not p:
-        # Elements of p-power order (dividing p^e > |g|) form one factor,
-        # elements of order prime to p the other; both are proper and
-        # together they span g.
-        p = min(q for q in range(2, g.order + 1) if g.order % q == 0)
-        p_e = p ** g.order.bit_length()
-        part = [x for x in g.elements() if p_e % x.order() == 0]
-        rest = [x for x in g.elements() if x.order() % p != 0]
-        return [subgroup_generated(g, part), subgroup_generated(g, rest)]
-    if max(x.order() for x in g.elements()) == g.order:
+        # Elements of p-power order (dividing p^e > |n|) form one factor,
+        # elements of order prime to p the other; both are proper, together
+        # they span n, and each is closed, since n is abelian.
+        p = min(q for q in range(2, n.order + 1) if n.order % q == 0)
+        p_e = p ** n.order.bit_length()
+        part = frozenset(i for i in span if p_e % order[i] == 0)
+        rest = frozenset(i for i in span if order[i] % p)
+        return [index.subgroup(part), index.subgroup(rest)]
+    if max(order.values()) == n.order:
         return None  # cyclic of prime power order: the subgroup lattice is a chain
-    # Non-cyclic abelian p-group: with x_1..x_r the least elements that span g
-    # over its Frattini subgroup phi = g^p, <phi, x_1..x_(r-1)> and
+    # Non-cyclic abelian p-group: with x_1..x_r the least elements that span n
+    # over its Frattini subgroup phi = n^p, <phi, x_1..x_(r-1)> and
     # <phi, x_2..x_r> are two distinct maximal subgroups.
-    phi = e_p_subgroup(g, p)
-    basis: list[Permutation] = []
-    span = phi
-    for x in g.sorted_elements():
-        if span.contains(x):
-            continue
-        basis.append(x)
-        span = subgroup_generated(g, [*phi.generators, *basis])
-        if span.order == g.order:
-            break
-    w1 = subgroup_generated(g, [*phi.generators, *basis[:-1]])
-    w2 = subgroup_generated(g, [*phi.generators, *basis[1:]])
-    # named by the greedy generators of their element sets, however they were closed
-    return [greedily_named(w) for w in (w1, w2)]
+    phi = e_p_subgroup(n, p)
+    base = [index.pos[x.images] for x in phi.generators]
+    _, kept = index.normal_closure(span, (), positions(g, phi), base)
+    basis = kept[len(base):]
+    halves = (basis[:-1], basis[1:])
+    return [index.subgroup(index.normal_closure([*base, *w], ())[0]) for w in halves]
 
 
 def _central_factor_scan(g: PermGroup, n: PermGroup) -> Optional[list[PermGroup]]:
@@ -322,7 +321,7 @@ def _central_factor_scan(g: PermGroup, n: PermGroup) -> Optional[list[PermGroup]
     case collapses to n = K * Z(n) with K normal. Either way some normal
     subgroup passes the scan below.
     """
-    for m in invariant_subgroups(g, n.generators, n):
+    for m in normal_subgroups(g, n):
         if m.is_trivial() or not _proper_in(m, n):
             continue
         c = intersection(centralizer(g, m), n)
@@ -340,7 +339,7 @@ def central_decomposition(g: PermGroup, n: Optional[PermGroup] = None) -> Option
     on one side, the normal-subgroup centralizer scan on the other).
     """
     top = g if n is None else n
-    found = _abelian_split(top) if top.is_abelian() else _central_factor_scan(g, top)
+    found = _abelian_split(g, top) if top.is_abelian() else _central_factor_scan(g, top)
     if found is not None:
         h, k = found
         if not (_proper_in(h, top) and _proper_in(k, top)):

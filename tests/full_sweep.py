@@ -25,14 +25,13 @@ def all_subgroups(g: PermGroup, n: PermGroup | None = None) -> tuple[PermGroup, 
     <H, x> is closed from H's set with right-multiplication rows, and sets
     are deduped before any group object is built. Only the least generator x
     of each cyclic subgroup of n is offered. Found subgroups are extended
-    last in, first out, with x in sorted order, and each keeps the generators
-    H.generators + (x,) of its first discovery, so the output (generator
-    lists included) does not depend on how the closures are computed.
+    last in, first out, with x in sorted order, and each is named by the
+    greedy generators of its element set, so the output does not depend on
+    the order of the search.
 
     <H, y> = <H, x> for every y in the double coset H x H, so once <H, x> is
     closed the rest of H x H is skipped: a skipped y would only close a
-    subgroup already found, and the first discovery of every subgroup, with
-    its generators, is the same as without the skip.
+    subgroup already found.
 
     The output, generator lists included, is that of n's sweep on its own
     index: subgroups of n are reached only from subgroups of n by elements of
@@ -63,8 +62,8 @@ def cyclic_generators(index: ElementIndex, span: frozenset[int]) -> list[int]:
     """The least position generating each cyclic subgroup of prime power
     order > 1 inside the subgroup at the positions span, ascending.
 
-    <H, y> = <H, x> whenever <y> = <x>, and the least generator comes first
-    in every extension loop, so offering only it changes no first discovery.
+    <H, y> = <H, x> whenever <y> = <x>, so offering only the least generator
+    finds the same subgroups.
     """
     out: list[int] = []
     skip: set[int] = set()

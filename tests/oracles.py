@@ -93,7 +93,8 @@ def closure_gens(degree, gens):
 
 
 def greedy_gens(degree, elements):
-    """A small deterministic generating set for a known subgroup set."""
+    """The greedy generators of a known subgroup set: the least element
+    outside the span so far, each time, the span closed by plain BFS."""
     idt = identity(degree)
     gens = []
     have = frozenset([idt])

@@ -1,5 +1,6 @@
 """Lattices kept on the element index: each group object gets its own normal
-lattice, a sweep of the whole group is shared, the reference sweep of a
+lattice, equal groups get equal names and share one sweep on a common
+index, a sweep of the whole group is shared, the reference sweep of a
 subgroup runs on the parent's index and matches the subgroup's own sweep,
 the certifier builds no index per swept normal subgroup, the reference's
 double cosets against brute force, and composition factors of p-groups."""
@@ -18,6 +19,8 @@ from jicert import (
     build_wreath_tower,
     parse_system,
     serialize_system,
+    subgroup_generated,
+    symmetric,
 )
 from jicert.certifier import CertifyOptions, certify_system
 from jicert.classdata import SchurTable, class_from_names
@@ -29,7 +32,13 @@ from jicert.lattice import (
     normal_subgroups,
 )
 from test_index_closure import reference_normal_subgroups
-from test_sweep import _certify_sweep_prefix, _certify_sweep_stage, reference_index_sweep, signature
+from test_sweep import (
+    _certify_sweep_prefix,
+    _certify_sweep_stage,
+    greedy_name,
+    reference_index_sweep,
+    signature,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -40,14 +49,22 @@ def fresh(n):
 
 
 def test_equal_groups_keep_their_own_normal_lattices():
+    """Each group object sweeps on its own index, but a normal subgroup's name
+    rests on its element set alone, so equal groups get equal lattices, and
+    on a common index the two sweep one lattice."""
     library = alternating(4)
     other = PermGroup.from_generators(4, [Permutation([1, 0, 3, 2]), Permutation([0, 2, 3, 1])])
     assert library == other and library.generators != other.generators
     for g in (library, other):
         got = [(n.elements(), n.generators) for n in normal_subgroups(g)]
-        assert got == reference_normal_subgroups(g)
-    # the two lattices differ in their V4 generators, so neither answered for the other
-    assert normal_subgroups(library)[1].generators != normal_subgroups(other)[1].generators
+        assert got == [greedy_name(4, m) for m, _kept in reference_normal_subgroups(g)]
+    assert normal_subgroups(library) is not normal_subgroups(other)
+    names = [[n.generators for n in normal_subgroups(g)] for g in (library, other)]
+    assert names[0] == names[1]
+    s4 = symmetric(4)
+    mine, theirs = (subgroup_generated(s4, g.generators) for g in (library, other))
+    assert normal_subgroups(s4, mine) is normal_subgroups(s4, theirs)
+    assert len(s4.element_index().sweeps) == 1
 
 
 def assert_restricted_sweeps_match(g, subgroups, name):

@@ -203,7 +203,7 @@ def _split_subjects(g):
 
 
 def assert_split_matches_reference(name, g, p):
-    got, want = _abelian_split(g), quotient_ref.abelian_split(g, p)
+    got, want = _abelian_split(g, g), quotient_ref.abelian_split(g, p)
     assert [h.elements() for h in got] == [h.elements() for h in want], name
     assert [h.generators for h in got] == [h.generators for h in want], name
 
